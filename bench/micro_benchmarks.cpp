@@ -9,6 +9,7 @@
 #include "cluster/balancer.h"
 #include "cluster/engine.h"
 #include "cluster/node.h"
+#include "cluster/traffic.h"
 #include "core/attack.h"
 #include "core/scenario.h"
 #include "core/testbed.h"
@@ -18,6 +19,7 @@
 #include "sim/rng.h"
 #include "sim/stats.h"
 #include "sim/task_pool.h"
+#include "sim/timer_wheel.h"
 #include "sim/trial_runner.h"
 #include "storage/extfs.h"
 #include "storage/fault_harness.h"
@@ -131,14 +133,78 @@ static void BM_EventQueueScheduleCancelPop(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueueScheduleCancelPop);
 
-static void BM_LatencyHistogramAdd(benchmark::State& state) {
-  sim::LatencyHistogram h;
+// Latency samples are drawn up front so the loop times add_ns alone,
+// not the RNG and log behind rng.exponential. Continuous: exponential
+// waits around 1 ms, no two alike. Repeats: a serving-shaped mix where
+// 60% of samples are whole multiples of a constant 20 us device service
+// time (k requests queued ahead) and the rest are continuous waits, so
+// runs of equal values reach the histogram's last-bucket memo.
+constexpr std::size_t kLatencySamples = 4096;  // power of two, fits L1
+
+static std::vector<std::int64_t> latency_samples(bool repeats) {
   sim::Rng rng(2);
-  for (auto _ : state) {
-    h.add_ns(static_cast<std::int64_t>(rng.exponential(1e6)));
+  std::vector<std::int64_t> samples(kLatencySamples);
+  for (std::int64_t& ns : samples) {
+    ns = repeats && rng.bernoulli(0.6)
+             ? 20000 * rng.uniform_int(1, 4)
+             : static_cast<std::int64_t>(rng.exponential(1e6));
   }
+  return samples;
+}
+
+static void run_latency_histogram_add(benchmark::State& state,
+                                      const std::vector<std::int64_t>& in) {
+  sim::LatencyHistogram h;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    h.add_ns(in[i++ & (kLatencySamples - 1)]);
+  }
+  benchmark::DoNotOptimize(h.count());
+}
+
+static void BM_LatencyHistogramAdd(benchmark::State& state) {
+  run_latency_histogram_add(state, latency_samples(/*repeats=*/false));
 }
 BENCHMARK(BM_LatencyHistogramAdd);
+
+static void BM_LatencyHistogramAddRepeats(benchmark::State& state) {
+  run_latency_histogram_add(state, latency_samples(/*repeats=*/true));
+}
+BENCHMARK(BM_LatencyHistogramAddRepeats);
+
+// NodeServer-style per-request deadlines: every 1 ms step arms a batch
+// of deadlines 10-100 ms out, cancels the 7 of 8 whose requests finish
+// in time, and advances the wheel one step, firing the rest as they
+// come due. Items are armed timers.
+static void BM_TimerWheelScheduleAdvance(benchmark::State& state) {
+  constexpr std::size_t kBatch = 256;
+  constexpr std::size_t kOffsets = 4096;  // power of two
+  sim::Rng rng(5);
+  std::vector<std::int64_t> offsets(kOffsets);
+  for (std::int64_t& ns : offsets) {
+    ns = rng.uniform_int(10'000'000, 100'000'000);
+  }
+  sim::TimerWheel wheel;
+  std::vector<sim::TimerWheel::TimerId> ids(kBatch);
+  std::vector<sim::TimerWheel::Expired> fired;
+  std::int64_t now = 0;
+  std::size_t k = 0;
+  for (auto _ : state) {
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      const std::int64_t deadline = now + offsets[k++ & (kOffsets - 1)];
+      ids[i] = wheel.schedule(sim::SimTime{deadline}, i);
+    }
+    for (std::size_t i = 0; i < kBatch; ++i) {
+      if (i % 8 != 0) wheel.cancel(ids[i]);
+    }
+    now += 1'000'000;
+    fired.clear();
+    wheel.advance(sim::SimTime{now}, fired);
+    benchmark::DoNotOptimize(fired.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kBatch);
+}
+BENCHMARK(BM_TimerWheelScheduleAdvance);
 
 // Per-task overhead of fanning a batch through the trial-execution pool
 // (batch setup + index claiming + completion handshake; the tasks are
@@ -645,5 +711,40 @@ static void BM_ClusterServing10k(benchmark::State& state) {
   state.SetItemsProcessed(requests);
 }
 BENCHMARK(BM_ClusterServing10k);
+
+// The closed-loop client population alone, at the overload_1k fleet's
+// size and key mix: 273k clients at 120k req/s aggregate (~2.3 s mean
+// think time) over 20k near-uniform keys, harvested in 50 ms epochs,
+// every issue completing 5 ms later, with one in ten shed and retried.
+// Items are issues.
+static void BM_ClosedLoopCollectComplete(benchmark::State& state) {
+  constexpr std::size_t kClients = 273066;
+  static const cluster::ZipfAliasSampler zipf(20000, 0.01);
+  cluster::TrafficConfig traffic;
+  traffic.arrival_rate_per_s = 120000.0;
+  traffic.read_fraction = 0.9;
+  traffic.seed = 3;
+  cluster::resilience::BackoffConfig backoff;
+  backoff.base = sim::Duration::from_millis(10.0);
+  cluster::ClosedLoopPopulation population;
+  population.reset(traffic, kClients, backoff, nullptr, sim::SimTime::zero());
+  std::vector<cluster::ClientIssue> issues;
+  sim::SimTime horizon = sim::SimTime::zero();
+  std::uint64_t issued = 0;
+  for (auto _ : state) {
+    horizon = horizon + sim::Duration::from_millis(50.0);
+    issues.clear();
+    population.collect_due(horizon, zipf, issues);
+    for (const cluster::ClientIssue& issue : issues) {
+      population.complete(issue.client,
+                          issue.at + sim::Duration::from_millis(5.0),
+                          issue.key % 10 == 0 ? cluster::OutcomeKind::kShed
+                                              : cluster::OutcomeKind::kServed);
+    }
+    issued += issues.size();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(issued));
+}
+BENCHMARK(BM_ClosedLoopCollectComplete);
 
 BENCHMARK_MAIN();

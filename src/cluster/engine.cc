@@ -254,7 +254,7 @@ void ShardedClusterEngine::start_run(sim::SimTime start, SloTracker& slo,
                      config_.serving.backoff,
                      config_.serving.retry_budget.enabled ? &retry_budget_
                                                           : nullptr,
-                     start, shard_count_);
+                     start);
     }
   }
   running_ = true;
@@ -878,7 +878,9 @@ OutcomeKind ShardedClusterEngine::request_outcome(std::uint32_t r) const {
 
 void ShardedClusterEngine::settle_clients(std::size_t first_req) {
   const std::size_t nreq = req_arrival_.size();
+  constexpr std::size_t kAhead = 8;
   for (std::size_t r = first_req; r < nreq; ++r) {
+    if (r + kAhead < nreq) clients_.prefetch(req_client_[r + kAhead]);
     clients_.complete(req_client_[r], req_complete_[r],
                       request_outcome(static_cast<std::uint32_t>(r)));
   }

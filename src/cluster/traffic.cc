@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <utility>
 
 #include "storage/block_device.h"
 
@@ -109,14 +110,38 @@ double ZipfAliasSampler::probability(std::uint64_t rank) const {
 
 void ClosedLoopPopulation::push_pending(std::uint32_t client,
                                         sim::SimTime at) {
-  shard_wheels_[client / clients_per_shard_].schedule(at, client);
+  at_ns_[client] = at.ns();
+  // A completion stamped before the cursor (a batch replaying earlier
+  // arrivals) is past due: it joins the cursor bucket and goes out with
+  // the next harvest.
+  const std::int64_t bucket = std::max(cursor_, bucket_of(at.ns()));
+  std::uint32_t& head = bucket < cursor_ + kRing ? slot(bucket) : far_head_;
+  next_[client] = head;
+  head = client;
+}
+
+void ClosedLoopPopulation::rescan_far(std::int64_t bucket) {
+  rescan_at_ = bucket + kRing / 2;
+  std::uint32_t* link = &far_head_;
+  while (*link != kNil) {
+    const std::uint32_t client = *link;
+    const std::int64_t due = bucket_of(at_ns_[client]);
+    if (due < bucket + kRing) {
+      *link = next_[client];
+      std::uint32_t& head = slot(due);
+      next_[client] = head;
+      head = client;
+    } else {
+      link = &next_[client];
+    }
+  }
 }
 
 void ClosedLoopPopulation::reset(const TrafficConfig& traffic,
                                  std::size_t clients,
                                  const resilience::BackoffConfig& backoff,
                                  resilience::RetryBudget* budget,
-                                 sim::SimTime start, std::size_t shards) {
+                                 sim::SimTime start) {
   if (clients == 0) {
     throw std::invalid_argument("closed loop: needs at least one client");
   }
@@ -132,26 +157,19 @@ void ClosedLoopPopulation::reset(const TrafficConfig& traffic,
   if (backoff.jitter < 0.0 || backoff.jitter > 1.0) {
     throw std::invalid_argument("closed loop: jitter must be in [0, 1]");
   }
-  if (shards == 0) shards = 1;
-  if (shards > clients) shards = clients;
   think_mean_s_ = static_cast<double>(clients) / traffic.arrival_rate_per_s;
   read_fraction_ = traffic.read_fraction;
   backoff_ = backoff;
   budget_ = budget;
   retries_ = 0;
   clients_.assign(clients, Client{});
-  clients_per_shard_ = (clients + shards - 1) / shards;
-  // Keep warm wheel slabs when the shard layout repeats; otherwise
-  // rebuild the vector (TimerWheel is movable, not copyable).
-  if (shard_wheels_.size() != shards) {
-    shard_wheels_.clear();
-    shard_wheels_.reserve(shards);
-    for (std::size_t s = 0; s < shards; ++s) shard_wheels_.emplace_back();
-  }
-  for (sim::TimerWheel& wheel : shard_wheels_) {
-    wheel.reset(start);
-    wheel.reserve(clients_per_shard_);
-  }
+  at_ns_.assign(clients, 0);
+  next_.assign(clients, kNil);
+  heads_.assign(static_cast<std::size_t>(kRing), kNil);
+  far_head_ = kNil;
+  origin_ns_ = start.ns();
+  cursor_ = 0;
+  rescan_at_ = kRing / 2;
   sim::Rng master(traffic.seed);
   for (std::uint32_t i = 0; i < clients_.size(); ++i) {
     Client& c = clients_[i];
@@ -169,35 +187,71 @@ void ClosedLoopPopulation::collect_due(sim::SimTime horizon,
                                        const ZipfAliasSampler& zipf,
                                        std::vector<ClientIssue>& out) {
   const std::size_t first = out.size();
-  // The wheel fires deadline <= t; collect_due's contract is strictly
-  // below the horizon, so harvest to horizon - 1ns.
-  const sim::SimTime limit{horizon.ns() - 1};
-  for (sim::TimerWheel& wheel : shard_wheels_) {
-    expired_.clear();
-    wheel.advance(limit, expired_);
-    for (const sim::TimerWheel::Expired& e : expired_) {
-      const auto client = static_cast<std::uint32_t>(e.payload);
-      Client& c = clients_[client];
-      if (c.has_retry == 0) {
-        // Drawn against the client's own forked stream, so the order
-        // shards (or clients within one) are visited cannot matter.
-        c.key = zipf.next(c.rng);
-        c.is_read = c.rng.bernoulli(read_fraction_) ? 1 : 0;
-        c.attempts = 0;
-        if (budget_ != nullptr) budget_->earn();
+  const std::int64_t limit = horizon.ns();
+  const std::int64_t last = std::max(cursor_, bucket_of(limit - 1));
+  std::int64_t bucket = cursor_;
+  // Every bucket before `last` is wholly due. Those go kLanes at a time,
+  // their chains walked in lockstep so one chain's cache misses overlap
+  // the others'.
+  constexpr int kLanes = 8;
+  for (; bucket + kLanes <= last; bucket += kLanes) {
+    if (bucket + kLanes > rescan_at_) rescan_far(bucket);
+    std::uint32_t lane[kLanes];
+    for (int l = 0; l < kLanes; ++l) {
+      lane[l] = std::exchange(slot(bucket + l), kNil);
+    }
+    for (bool busy = true; busy;) {
+      busy = false;
+      for (std::uint32_t& client : lane) {
+        if (client == kNil) continue;
+        busy = true;
+        out.push_back(ClientIssue{sim::SimTime{at_ns_[client]}, client});
+        client = next_[client];
       }
-      out.push_back(ClientIssue{e.deadline, client, c.key, c.is_read != 0});
-      // The client is now in flight: it re-enters its wheel at complete().
     }
   }
-  // Each shard fires in (at, schedule) order; merging the streams is a
-  // sort of the (typically tiny) due set. (at, client) pairs are unique,
-  // so the merged order — and every byte downstream — is independent of
-  // the shard layout.
-  std::sort(out.begin() + static_cast<std::ptrdiff_t>(first), out.end(),
-            [](const ClientIssue& a, const ClientIssue& b) {
-              return a.at == b.at ? a.client < b.client : a.at < b.at;
-            });
+  // The rest one at a time; `last` may straddle the horizon, so its
+  // not-yet-due clients stay linked.
+  for (; bucket <= last; ++bucket) {
+    if (bucket >= rescan_at_) rescan_far(bucket);
+    std::uint32_t* link = &slot(bucket);
+    while (*link != kNil) {
+      const std::uint32_t client = *link;
+      if (at_ns_[client] < limit) {
+        *link = next_[client];
+        out.push_back(ClientIssue{sim::SimTime{at_ns_[client]}, client});
+      } else {
+        link = &next_[client];
+      }
+    }
+  }
+  cursor_ = last;
+  // (at, client) pairs are unique, so this order is canonical: it does
+  // not depend on bucket layout or link order.
+  const auto begin = out.begin() + static_cast<std::ptrdiff_t>(first);
+  std::sort(begin, out.end(), [](const ClientIssue& a, const ClientIssue& b) {
+    return a.at == b.at ? a.client < b.client : a.at < b.at;
+  });
+  // Second pass in issue order: each Client is an independent load, so
+  // fetch a few ahead while the current one draws.
+  constexpr std::ptrdiff_t kAhead = 8;
+  for (auto it = begin; it != out.end(); ++it) {
+    if (out.end() - it > kAhead) {
+      __builtin_prefetch(&clients_[it[kAhead].client]);
+    }
+    Client& c = clients_[it->client];
+    if (c.has_retry == 0) {
+      // Drawn against the client's own forked stream, so the order
+      // clients are visited in cannot matter.
+      c.key = zipf.next(c.rng);
+      c.is_read = c.rng.bernoulli(read_fraction_) ? 1 : 0;
+      c.attempts = 0;
+      if (budget_ != nullptr) budget_->earn();
+    }
+    it->key = c.key;
+    it->is_read = c.is_read != 0;
+    // The client is now in flight: it re-enters the queue at complete().
+  }
 }
 
 void ClosedLoopPopulation::complete(std::uint32_t client, sim::SimTime when,

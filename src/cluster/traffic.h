@@ -21,7 +21,6 @@
 #include "cluster/resilience/retry.h"
 #include "cluster/slo.h"
 #include "sim/rng.h"
-#include "sim/timer_wheel.h"
 
 namespace deepnote::cluster {
 
@@ -123,33 +122,40 @@ struct ClientIssue {
 /// perturbs key draws). The request sequence depends only on
 /// (seed, outcome timeline), never on batching.
 ///
-/// The population is sharded: clients are split into contiguous blocks,
-/// each owning a timer wheel of (next_issue, client) for its idle
-/// members. collect_due harvests only the due timers and merges the
-/// shard streams into canonical (at, client) order, so a round over a
-/// 10k-client population costs O(due) instead of a full scan. The
-/// merged order — and therefore every downstream byte — is identical
-/// at any shard count.
+/// Idle clients wait in one flat calendar queue keyed by next-issue
+/// time: a ring of ~1 ms buckets, each an intrusive list threaded
+/// through per-client arrays, plus a far list for issues beyond the
+/// ring's span. collect_due walks only the buckets up to the round
+/// horizon and sorts the harvest into canonical (at, client) order, so
+/// a round over a large population costs O(due + buckets crossed)
+/// instead of a full scan, and the order inside a bucket never shows.
 class ClosedLoopPopulation {
  public:
   ClosedLoopPopulation() = default;
 
   /// (Re)seed `clients` streams from `traffic.seed`. Per-client think
   /// mean is clients / arrival_rate, so the aggregate no-load offered
-  /// rate matches the open-loop configuration. `shards` only affects
-  /// data layout (it follows the engine's shard count); results do not
-  /// depend on it. `budget`, when non-null, must outlive the population
-  /// and gates every retry (it is earned by fresh issues here too).
+  /// rate matches the open-loop configuration. `budget`, when non-null,
+  /// must outlive the population and gates every retry (it is earned by
+  /// fresh issues here too).
   void reset(const TrafficConfig& traffic, std::size_t clients,
              const resilience::BackoffConfig& backoff,
-             resilience::RetryBudget* budget, sim::SimTime start,
-             std::size_t shards = 1);
+             resilience::RetryBudget* budget, sim::SimTime start);
 
   /// Append every client whose next issue falls before `horizon` to
   /// `out` (sorted by (at, client)) and mark them in flight. Their keys
   /// are drawn here, against each client's own stream.
   void collect_due(sim::SimTime horizon, const ZipfAliasSampler& zipf,
                    std::vector<ClientIssue>& out);
+
+  /// Start loading what complete(client, ...) touches, so a caller
+  /// settling a batch can overlap one client's cache misses with the
+  /// work of the ones before it.
+  void prefetch(std::uint32_t client) const {
+    __builtin_prefetch(&clients_[client], 1);
+    __builtin_prefetch(&at_ns_[client], 1);
+    __builtin_prefetch(&next_[client], 1);
+  }
 
   /// Report the outcome of `client`'s in-flight request at `when`.
   void complete(std::uint32_t client, sim::SimTime when, OutcomeKind outcome);
@@ -169,14 +175,32 @@ class ClosedLoopPopulation {
     std::uint8_t has_retry = 0;  ///< next issue re-sends `key`
   };
 
+  // Calendar geometry: 2^20 ns (~1.05 ms) buckets, 4096 of them (~4.3 s,
+  // about twice the overload cells' mean think time). Issues further out
+  // wait on the far list, which is rescanned every half ring.
+  static constexpr int kBucketShift = 20;
+  static constexpr std::int64_t kRing = 4096;
+  static constexpr std::uint32_t kNil = 0xffffffffu;
+
+  std::int64_t bucket_of(std::int64_t ns) const {
+    return (ns - origin_ns_) >> kBucketShift;
+  }
+  std::uint32_t& slot(std::int64_t bucket) {
+    return heads_[static_cast<std::size_t>(bucket & (kRing - 1))];
+  }
   void push_pending(std::uint32_t client, sim::SimTime at);
+  /// Move every far-list client due before bucket `bucket + kRing` into
+  /// the ring; the next rescan is due half a ring later.
+  void rescan_far(std::int64_t bucket);
 
   std::vector<Client> clients_;
-  /// Per-shard timer wheel of idle clients keyed by next-issue time;
-  /// payload = client index. Harvested strictly below the round horizon.
-  std::vector<sim::TimerWheel> shard_wheels_;
-  std::vector<sim::TimerWheel::Expired> expired_;  ///< harvest scratch
-  std::size_t clients_per_shard_ = 1;
+  std::vector<std::int64_t> at_ns_;   ///< next issue time of idle clients
+  std::vector<std::uint32_t> next_;   ///< intrusive bucket/far-list link
+  std::vector<std::uint32_t> heads_;  ///< kRing bucket heads
+  std::uint32_t far_head_ = kNil;
+  std::int64_t origin_ns_ = 0;
+  std::int64_t cursor_ = 0;     ///< first bucket that may hold a client
+  std::int64_t rescan_at_ = 0;  ///< bucket at which the far list is rescanned
   double think_mean_s_ = 0.0;
   double read_fraction_ = 1.0;
   resilience::BackoffConfig backoff_;

@@ -30,6 +30,7 @@ bool MemDisk::should_fail(DiskOpKind kind, std::uint64_t lba,
     case DiskOpKind::kRead: ++reads_; break;
     case DiskOpKind::kWrite: ++writes_; break;
     case DiskOpKind::kFlush: ++flushes_; break;
+    case DiskOpKind::kErase: ++erases_; break;
   }
   bool fail = failing_;
   if (!fail && (fail_ops_ & fault_ops::mask_of(kind)) != 0) {
@@ -94,6 +95,16 @@ BlockIo MemDisk::write(sim::SimTime now, std::uint64_t lba,
                 kBlockSectorSize);
   }
   return BlockIo{BlockStatus::kOk, now + latency_};
+}
+
+BlockIo MemDisk::erase(sim::SimTime now, std::uint64_t lba,
+                       std::uint32_t sector_count) {
+  if (lba + sector_count > total_sectors_) {
+    throw std::out_of_range("MemDisk::erase beyond device");
+  }
+  // No erase geometry: the data stays, only the injector sees the op.
+  const bool fail = should_fail(DiskOpKind::kErase, lba, sector_count);
+  return BlockIo{fail ? BlockStatus::kIoError : BlockStatus::kOk, now};
 }
 
 BlockIo MemDisk::flush(sim::SimTime now) {

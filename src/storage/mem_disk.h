@@ -25,6 +25,10 @@ class MemDisk final : public BlockDevice {
                 std::uint32_t sector_count,
                 std::span<const std::byte> in) override;
   BlockIo flush(sim::SimTime now) override;
+  /// Instant TRIM-like no-op (see BlockDevice::erase), but counted and
+  /// subject to the fault injector like every other op.
+  BlockIo erase(sim::SimTime now, std::uint64_t lba,
+                std::uint32_t sector_count) override;
 
   /// Fail every operation from now on (fault injection).
   void set_failing(bool failing) { failing_ = failing; }
@@ -47,6 +51,7 @@ class MemDisk final : public BlockDevice {
   std::uint64_t read_count() const { return reads_; }
   std::uint64_t write_count() const { return writes_; }
   std::uint64_t flush_count() const { return flushes_; }
+  std::uint64_t erase_count() const { return erases_; }
 
  private:
   bool should_fail(DiskOpKind kind, std::uint64_t lba,
@@ -66,6 +71,7 @@ class MemDisk final : public BlockDevice {
   std::uint64_t reads_ = 0;
   std::uint64_t writes_ = 0;
   std::uint64_t flushes_ = 0;
+  std::uint64_t erases_ = 0;
 };
 
 }  // namespace deepnote::storage

@@ -89,9 +89,9 @@ TEST(ServingAllocTest, WarmServingRunIsAllocationFree) {
       << "steady-state serving loop allocated on the hot path";
 }
 
-// Same contract with the wave pool engaged: jobs = 4 shards the client
-// population into per-shard arrival heaps and splits the per-wave
-// active-node / depth-dirty lists per shard. All of that state must
+// Same contract with the wave pool engaged: jobs = 4 splits the
+// per-wave active-node / depth-dirty lists per shard while the client
+// population stays in its single calendar queue. All of that state must
 // recycle exactly like the inline path's. (min_ops_to_shard = 0 forces
 // every wave through the pool, so the sharded structures are actually
 // exercised.)

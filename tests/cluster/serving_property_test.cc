@@ -118,6 +118,30 @@ std::vector<ServeResult> run_stream(const std::vector<Submission>& stream,
   return results;
 }
 
+// Erase commands reach the device like any other kind: counted by it,
+// timed by it, and failed when it fails them.
+TEST(NodeServerErase, ErasesAreServedByTheDevice) {
+  storage::MemDisk disk(1024);
+  NodeServer server(disk, ServerConfig{4, AdmissionPolicy::kRejectNew});
+  const sim::SimTime deadline = sim::SimTime::from_seconds(1.0);
+  const sim::SimTime at = sim::SimTime::from_millis(2.0);
+  // The first erase succeeds, the second fails.
+  disk.fail_after(1, storage::fault_ops::kErases);
+  server.submit(at, storage::DiskOpKind::kErase, 8, 4, {}, {}, deadline, 1);
+  server.submit(at + sim::Duration::from_millis(1.0),
+                storage::DiskOpKind::kErase, 16, 4, {}, {}, deadline, 2);
+  server.drain();
+  ASSERT_EQ(server.completions().size(), 2u);
+  const ServeResult& ok = server.completions()[0];
+  EXPECT_EQ(ok.tag, 1u);
+  EXPECT_EQ(ok.outcome, OutcomeKind::kServed);
+  EXPECT_EQ(ok.complete, at);  // MemDisk erases are instant
+  const ServeResult& failed = server.completions()[1];
+  EXPECT_EQ(failed.tag, 2u);
+  EXPECT_EQ(failed.outcome, OutcomeKind::kFailed);
+  EXPECT_EQ(disk.erase_count(), 2u);
+}
+
 class ServingProperty : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ServingProperty, EveryRequestTerminatesExactlyOnce) {
@@ -237,6 +261,10 @@ TEST_P(ServingProperty, DepthBoundedAndTimestampsSane) {
         // Refused at the admission decision; for reject-new that is the
         // request's own arrival, for drop-oldest the evictor's.
         EXPECT_GE(r.complete.ns(), r.arrival.ns());
+        break;
+      case OutcomeKind::kCancelled:
+        // The stream arms no hedge cancels, so none can fire.
+        ADD_FAILURE() << "request " << r.tag << " was cancelled";
         break;
     }
   }

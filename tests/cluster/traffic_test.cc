@@ -1,10 +1,12 @@
 // Traffic generator tests: Zipf popularity shape, open-loop Poisson
-// arrival counts, deterministic replay, the read/write mix, and timeline
-// action delivery.
+// arrival counts, deterministic replay, the read/write mix, timeline
+// action delivery, and the closed-loop population's calendar queue
+// against a brute-force scan.
 #include "cluster/traffic.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -62,7 +64,9 @@ TEST(ZipfAlias, ExactProbabilitiesSumToOneAndDecay) {
   double sum = 0.0;
   for (std::uint64_t rank = 0; rank < 1000; ++rank) {
     sum += zipf.probability(rank);
-    if (rank > 0) EXPECT_LT(zipf.probability(rank), zipf.probability(rank - 1));
+    if (rank > 0) {
+      EXPECT_LT(zipf.probability(rank), zipf.probability(rank - 1));
+    }
   }
   EXPECT_NEAR(sum, 1.0, 1e-9);
 }
@@ -234,6 +238,283 @@ TEST(Traffic, RejectsDegenerateConfig) {
   config = {};
   config.read_fraction = 1.5;
   EXPECT_THROW(TrafficRunner(*serving.balancer, config),
+               std::invalid_argument);
+}
+
+// Brute-force model of ClosedLoopPopulation: every client carries its
+// own next-issue time and a harvest scans them all for at < horizon,
+// then sorts by (at, client). It seeds streams, draws keys and applies
+// the retry rule exactly as the population documents.
+class PopulationOracle {
+ public:
+  PopulationOracle(const TrafficConfig& traffic, std::size_t clients,
+                   const resilience::BackoffConfig& backoff,
+                   sim::SimTime start)
+      : clients_(clients),
+        think_mean_s_(static_cast<double>(clients) /
+                      traffic.arrival_rate_per_s),
+        read_fraction_(traffic.read_fraction),
+        backoff_(backoff) {
+    sim::Rng master(traffic.seed);
+    for (std::uint32_t i = 0; i < clients; ++i) {
+      Client& c = clients_[i];
+      c.rng = master.fork();
+      c.jitter_state =
+          traffic.seed ^ (0x9e3779b97f4a7c15ull * (std::uint64_t{i} + 1));
+      c.at = start + sim::Duration::from_seconds(
+                         c.rng.exponential(think_mean_s_));
+    }
+  }
+
+  std::vector<ClientIssue> collect(sim::SimTime horizon,
+                                   const ZipfAliasSampler& zipf) {
+    std::vector<ClientIssue> due;
+    for (std::uint32_t i = 0; i < clients_.size(); ++i) {
+      if (clients_[i].idle && clients_[i].at < horizon) {
+        due.push_back(ClientIssue{clients_[i].at, i});
+      }
+    }
+    std::sort(due.begin(), due.end(),
+              [](const ClientIssue& a, const ClientIssue& b) {
+                return a.at == b.at ? a.client < b.client : a.at < b.at;
+              });
+    for (ClientIssue& issue : due) {
+      Client& c = clients_[issue.client];
+      if (!c.has_retry) {
+        c.key = zipf.next(c.rng);
+        c.is_read = c.rng.bernoulli(read_fraction_);
+        c.attempts = 0;
+      }
+      c.idle = false;
+      issue.key = c.key;
+      issue.is_read = c.is_read;
+    }
+    return due;
+  }
+
+  void complete(std::uint32_t client, sim::SimTime when,
+                OutcomeKind outcome) {
+    Client& c = clients_[client];
+    c.idle = true;
+    const bool retryable =
+        outcome == OutcomeKind::kShed ||
+        (backoff_.retry_failures && (outcome == OutcomeKind::kFailed ||
+                                     outcome == OutcomeKind::kTimedOut));
+    c.has_retry = retryable && c.attempts < backoff_.max_retries;
+    if (c.has_retry) {
+      ++c.attempts;
+      c.at = when + resilience::backoff_delay(
+                        backoff_, c.attempts,
+                        resilience::next_jitter_word(c.jitter_state));
+    } else {
+      c.at = when + sim::Duration::from_seconds(
+                        c.rng.exponential(think_mean_s_));
+    }
+  }
+
+  /// Idle clients due at or after `horizon` but inside the same ~1 ms
+  /// calendar bucket as horizon - 1ns: the harvest must split that bucket.
+  std::size_t straddlers(sim::SimTime start, sim::SimTime horizon) const {
+    const auto bucket = [&](std::int64_t ns) {
+      return (ns - start.ns()) >> 20;
+    };
+    std::size_t n = 0;
+    for (const Client& c : clients_) {
+      n += c.idle && c.at >= horizon &&
+           bucket(c.at.ns()) == bucket(horizon.ns() - 1);
+    }
+    return n;
+  }
+
+ private:
+  struct Client {
+    sim::Rng rng{0};
+    sim::SimTime at = sim::SimTime::zero();
+    std::uint64_t key = 0;
+    std::uint64_t jitter_state = 0;
+    std::uint32_t attempts = 0;
+    bool is_read = true;
+    bool has_retry = false;
+    bool idle = true;
+  };
+
+  std::vector<Client> clients_;
+  double think_mean_s_;
+  double read_fraction_;
+  resilience::BackoffConfig backoff_;
+};
+
+/// What a randomized population run exercised, so each test can insist
+/// its corner actually happened.
+struct PopulationCoverage {
+  std::size_t harvests = 0;
+  std::size_t issues = 0;
+  std::size_t split_buckets = 0;   ///< horizon fell inside an occupied bucket
+  std::size_t past_due = 0;        ///< completion stamped before the cursor
+  std::size_t beyond_ring = 0;     ///< issue gap longer than the ring span
+  std::size_t retried_keys = 0;    ///< retry issues checked to re-send the key
+  std::size_t ties = 0;            ///< adjacent issues sharing one `at`
+};
+
+// The ring spans 4096 buckets of 2^20 ns; anything further out goes
+// through the far list, rescanned every half ring (~2.15 s).
+constexpr std::int64_t kRingSpanNs = std::int64_t{4096} << 20;
+
+/// Drive a population and the oracle through the same randomized
+/// horizons and completions until `end`, asserting every harvest is
+/// identical (order, keys and read coins included). `fine_steps` keeps
+/// every step under 8 ms, so no harvest walks more than a few buckets.
+PopulationCoverage drive_population(std::uint64_t seed,
+                                    const TrafficConfig& traffic,
+                                    std::size_t clients,
+                                    const resilience::BackoffConfig& backoff,
+                                    sim::SimTime end,
+                                    bool fine_steps = false) {
+  const sim::SimTime start = sim::SimTime::from_millis(250.0);
+  const ZipfAliasSampler zipf(traffic.keyspace, traffic.zipf_theta);
+  ClosedLoopPopulation population;
+  population.reset(traffic, clients, backoff, nullptr, start);
+  PopulationOracle oracle(traffic, clients, backoff, start);
+
+  PopulationCoverage cov;
+  sim::Rng rng(seed);
+  std::vector<ClientIssue> got;
+  std::vector<ClientIssue> in_flight;
+  std::vector<sim::SimTime> last_done(clients, start);
+  std::vector<std::int64_t> retry_key(clients, -1);
+  sim::SimTime horizon = start;
+  while (horizon < end) {
+    // Mostly sub-bucket and epoch-sized steps, sometimes a jump across
+    // more than the whole ring in one harvest.
+    const double r = rng.next_double();
+    const double step_ms = r < 0.4      ? rng.uniform(0.0, 0.9)
+                           : fine_steps ? rng.uniform(1.0, 7.0)
+                           : r < 0.995  ? rng.uniform(1.0, 60.0)
+                                        : rng.uniform(2000.0, 5000.0);
+    horizon = horizon + sim::Duration::from_millis(step_ms) +
+              sim::Duration::from_nanos(rng.uniform_int(1, 999));
+    cov.split_buckets += oracle.straddlers(start, horizon) > 0;
+
+    got.clear();
+    population.collect_due(horizon, zipf, got);
+    const std::vector<ClientIssue> want = oracle.collect(horizon, zipf);
+    EXPECT_EQ(got.size(), want.size()) << "harvest " << cov.harvests;
+    if (got.size() != want.size()) return cov;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].at, want[i].at) << "harvest " << cov.harvests;
+      EXPECT_EQ(got[i].client, want[i].client) << "harvest " << cov.harvests;
+      EXPECT_EQ(got[i].key, want[i].key) << "harvest " << cov.harvests;
+      EXPECT_EQ(got[i].is_read, want[i].is_read);
+      if (i > 0 && got[i].at == got[i - 1].at) ++cov.ties;
+      const ClientIssue& issue = got[i];
+      if (issue.at.ns() - last_done[issue.client].ns() > kRingSpanNs) {
+        ++cov.beyond_ring;
+      }
+      if (retry_key[issue.client] >= 0) {
+        EXPECT_EQ(issue.key,
+                  static_cast<std::uint64_t>(retry_key[issue.client]));
+        ++cov.retried_keys;
+        retry_key[issue.client] = -1;
+      }
+    }
+    ++cov.harvests;
+    cov.issues += got.size();
+    in_flight.insert(in_flight.end(), got.begin(), got.end());
+
+    // Settle most in-flight requests; the rest stay out a while and come
+    // back later stamped near their (by then old) issue time.
+    std::size_t keep = 0;
+    for (const ClientIssue& issue : in_flight) {
+      if (rng.bernoulli(0.2)) {
+        in_flight[keep++] = issue;
+        continue;
+      }
+      const double c = rng.next_double();
+      const sim::SimTime when =
+          c < 0.25 ? issue.at
+          : c < 0.5
+              ? horizon  // shared stamp: equal backoffs collide
+              : issue.at + sim::Duration::from_millis(rng.uniform(0.0, 80.0));
+      if (when.ns() < horizon.ns() - (std::int64_t{1} << 20)) ++cov.past_due;
+      const double o = rng.next_double();
+      const OutcomeKind outcome = o < 0.55   ? OutcomeKind::kServed
+                                  : o < 0.75 ? OutcomeKind::kShed
+                                  : o < 0.9  ? OutcomeKind::kFailed
+                                             : OutcomeKind::kTimedOut;
+      const std::uint64_t retries_before = population.retries();
+      population.complete(issue.client, when, outcome);
+      oracle.complete(issue.client, when, outcome);
+      if (population.retries() != retries_before) {
+        retry_key[issue.client] = static_cast<std::int64_t>(issue.key);
+      }
+      last_done[issue.client] = when;
+    }
+    in_flight.resize(keep);
+  }
+  return cov;
+}
+
+TrafficConfig population_traffic(std::size_t clients, double think_mean_s) {
+  TrafficConfig traffic;
+  traffic.clients = clients;
+  traffic.arrival_rate_per_s = static_cast<double>(clients) / think_mean_s;
+  traffic.read_fraction = 0.7;
+  traffic.keyspace = 5000;
+  traffic.zipf_theta = 0.9;
+  traffic.seed = 77;
+  return traffic;
+}
+
+TEST(ClosedLoopPopulation, MatchesBruteForceScanWithJitteredRetries) {
+  // 5 s mean think time and backoffs capped at 8 s: plenty of gaps
+  // outlive the ~4.3 s ring, and 40 s of sim time crosses the far-list
+  // rescan point many times.
+  resilience::BackoffConfig backoff;
+  backoff.kind = resilience::BackoffKind::kExponential;
+  backoff.base = sim::Duration::from_millis(10.0);
+  backoff.cap = sim::Duration::from_seconds(8.0);
+  backoff.jitter = 0.5;
+  backoff.max_retries = 12;
+  backoff.retry_failures = true;
+  for (const std::uint64_t seed : {1ull, 2ull, 3ull, 4ull}) {
+    SCOPED_TRACE(seed);
+    const PopulationCoverage cov = drive_population(
+        seed, population_traffic(300, 5.0), 300, backoff,
+        sim::SimTime::from_seconds(40.0), /*fine_steps=*/seed == 4);
+    EXPECT_GT(cov.issues, 1000u);
+    EXPECT_GT(cov.split_buckets, 0u);
+    EXPECT_GT(cov.past_due, 0u);
+    EXPECT_GT(cov.beyond_ring, 0u);
+    EXPECT_GT(cov.retried_keys, 0u);
+  }
+}
+
+TEST(ClosedLoopPopulation, BreaksAtTiesByClientIndex) {
+  // Unjittered fixed backoff: every shed stamped at the shared horizon
+  // re-enters at the same instant, so harvests carry `at` ties.
+  resilience::BackoffConfig backoff;
+  backoff.kind = resilience::BackoffKind::kFixed;
+  backoff.base = sim::Duration::from_millis(3.0);
+  backoff.jitter = 0.0;
+  backoff.max_retries = resilience::kUnlimitedRetries;
+  const PopulationCoverage cov =
+      drive_population(9, population_traffic(200, 0.5), 200, backoff,
+                       sim::SimTime::from_seconds(10.0));
+  EXPECT_GT(cov.ties, 0u);
+  EXPECT_GT(cov.retried_keys, 0u);
+  EXPECT_GT(cov.past_due, 0u);
+}
+
+TEST(ClosedLoopPopulation, RejectsDegenerateConfig) {
+  ClosedLoopPopulation population;
+  const TrafficConfig traffic = population_traffic(4, 1.0);
+  resilience::BackoffConfig backoff;
+  EXPECT_THROW(population.reset(traffic, 0, backoff, nullptr,
+                                sim::SimTime::zero()),
+               std::invalid_argument);
+  backoff.base = sim::Duration::zero();
+  EXPECT_THROW(population.reset(traffic, 4, backoff, nullptr,
+                                sim::SimTime::zero()),
                std::invalid_argument);
 }
 

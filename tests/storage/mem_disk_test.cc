@@ -115,6 +115,30 @@ TEST(MemDiskTest, PerKindOpCounters) {
   EXPECT_EQ(disk.op_count(), 4u);
 }
 
+TEST(MemDiskTest, EraseIsCountedAndInjectable) {
+  MemDisk disk(1024);
+  std::vector<std::byte> buf(kBlockSectorSize, std::byte{0x3c});
+  disk.write(SimTime::zero(), 8, 1, buf);
+  // No erase geometry: instant, and the data stays.
+  const BlockIo io = disk.erase(SimTime::from_millis(1.0), 8, 4);
+  EXPECT_TRUE(io.ok());
+  EXPECT_EQ(io.complete, SimTime::from_millis(1.0));
+  std::vector<std::byte> out(kBlockSectorSize);
+  disk.read(SimTime::zero(), 8, 1, out);
+  EXPECT_EQ(out, buf);
+  EXPECT_EQ(disk.erase_count(), 1u);
+  EXPECT_EQ(disk.op_count(), 3u);
+
+  // Erases are their own fault_ops kind: failing them spares the rest.
+  disk.fail_after(0, fault_ops::kErases);
+  EXPECT_TRUE(disk.read(SimTime::zero(), 8, 1, out).ok());
+  EXPECT_FALSE(disk.erase(SimTime::zero(), 16, 2).ok());
+  ASSERT_TRUE(disk.first_failure().has_value());
+  EXPECT_EQ(disk.first_failure()->kind, DiskOpKind::kErase);
+  EXPECT_EQ(disk.first_failure()->lba, 16u);
+  EXPECT_EQ(disk.erase_count(), 2u);
+}
+
 TEST(MemDiskTest, BoundsChecked) {
   MemDisk disk(10);
   std::vector<std::byte> buf(kBlockSectorSize);
@@ -122,6 +146,7 @@ TEST(MemDiskTest, BoundsChecked) {
   EXPECT_THROW(disk.write(SimTime::zero(), 9, 2,
                           std::vector<std::byte>(2 * kBlockSectorSize)),
                std::out_of_range);
+  EXPECT_THROW(disk.erase(SimTime::zero(), 8, 4), std::out_of_range);
 }
 
 }  // namespace

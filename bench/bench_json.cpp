@@ -57,10 +57,10 @@
 #include <utility>
 #include <vector>
 
+#include "attacked_fleet.h"
 #include "cluster/experiment.h"
 #include "cluster/hybrid_experiment.h"
 #include "cluster/overload_experiment.h"
-#include "core/attack.h"
 #include "core/range_test.h"
 #include "core/scenario.h"
 #include "sim/trial_runner.h"
@@ -221,61 +221,15 @@ EndToEnd run_cluster() {
 /// leaks between passes.
 EndToEnd run_cluster_1k() {
   using namespace deepnote;
-  const cluster::ClusterTopology topo{.pods = 200, .bays_per_pod = 5};
-
-  cluster::BalancerConfig balancer_config;
-  balancer_config.policy = cluster::PlacementPolicy::kCrossPod;
-  balancer_config.objects = 20000;
-
-  cluster::TrafficConfig traffic;
-  traffic.arrival_rate_per_s = 400.0;
-  traffic.duration = sim::Duration::from_seconds(3.0);
-  traffic.keyspace = 1000000;
-  traffic.seed = 0xbeef;
-
-  core::AttackConfig attack;
-  attack.frequency_hz = 650.0;
-  attack.spl_air_db = 140.0;
-  attack.distance_m = 0.01;
-  attack.start = sim::SimTime::from_seconds(0.5);
-  attack.end = sim::SimTime::from_seconds(2.5);
-
-  const auto zipf = std::make_shared<const cluster::ZipfAliasSampler>(
-      traffic.keyspace, traffic.zipf_theta);
-
-  auto make_cluster = [&]() {
-    cluster::ClusterConfig config;
-    config.topology = topo;
-    config.seed = 0x1234;
-    return std::make_unique<cluster::Cluster>(config);
-  };
-  auto make_actions = [&](cluster::Cluster* c) {
-    std::vector<cluster::TimelineAction> actions;
-    actions.push_back({attack.start, [c, attack](sim::SimTime t) {
-                         c->apply_attack(0, t, attack);
-                       }});
-    actions.push_back(
-        {attack.end, [c](sim::SimTime t) { c->stop_attack(0, t); }});
-    return actions;
-  };
+  const cluster::CellSpec spec =
+      bench::attacked_fleet_spec(/*pods=*/200, /*rate_per_s=*/400.0);
 
   double engine_wall = 0.0;
   std::uint64_t engine_requests = 0;
   for (int rep = 0; rep < 3; ++rep) {  // rep 0 is the warm-up
-    auto cl = make_cluster();
-    cluster::EngineConfig config;
-    config.balancer = balancer_config;
-    config.traffic = traffic;
-    config.zipf = zipf;
-    config.jobs = 0;  // $DEEPNOTE_JOBS
-    cluster::ShardedClusterEngine engine(cl->topology(),
-                                         cl->device_pointers(), config);
-    cluster::SloTracker slo(sim::SimTime::zero());
-    slo.set_focus(attack.start, attack.end);
-    auto actions = make_actions(cl.get());
+    cluster::Cell cell(spec);
     const auto t0 = std::chrono::steady_clock::now();
-    const cluster::EngineReport report =
-        engine.run(sim::SimTime::zero(), slo, std::move(actions));
+    const cluster::EngineReport report = cell.run();
     const auto t1 = std::chrono::steady_clock::now();
     const double wall = std::chrono::duration<double>(t1 - t0).count();
     if (rep == 1 || (rep > 1 && wall < engine_wall)) {
@@ -286,13 +240,13 @@ EndToEnd run_cluster_1k() {
 
   double serial_wall = 0.0;
   for (int rep = 0; rep < 3; ++rep) {  // rep 0 is the warm-up
-    auto cl = make_cluster();
-    auto nodes = cl->node_pointers();
-    cluster::Balancer balancer(cl->topology(), nodes, balancer_config);
-    cluster::TrafficRunner runner(balancer, traffic);
+    cluster::Cluster cl(spec.cluster);
+    cluster::Balancer balancer(cl, spec.engine.balancer);
+    cluster::TrafficRunner runner(balancer, spec.engine.traffic);
     cluster::SloTracker slo(sim::SimTime::zero());
-    slo.set_focus(attack.start, attack.end);
-    auto actions = make_actions(cl.get());
+    slo.set_focus(spec.focus_begin, spec.focus_end);
+    auto actions = cluster::resilience::pod_attack_actions(spec.schedule(),
+                                                           cl, spec.chaos);
     const auto t0 = std::chrono::steady_clock::now();
     (void)runner.run(sim::SimTime::zero(), slo, std::move(actions));
     const auto t1 = std::chrono::steady_clock::now();
@@ -324,65 +278,18 @@ EndToEnd run_cluster_serving_cell(std::size_t pods, double rate_per_s,
                                   std::size_t clients, int reps,
                                   double min_speedup) {
   using namespace deepnote;
-  const cluster::ClusterTopology topo{.pods = pods, .bays_per_pod = 5};
-
-  cluster::BalancerConfig balancer_config;
-  balancer_config.policy = cluster::PlacementPolicy::kCrossPod;
-  balancer_config.objects = 20000;
-
-  cluster::TrafficConfig traffic;
-  traffic.arrival_rate_per_s = rate_per_s;
-  traffic.duration = sim::Duration::from_seconds(3.0);
-  traffic.keyspace = 1000000;
-  traffic.seed = 0xbeef;
-
-  core::AttackConfig attack;
-  attack.frequency_hz = 650.0;
-  attack.spl_air_db = 140.0;
-  attack.distance_m = 0.01;
-  attack.start = sim::SimTime::from_seconds(0.5);
-  attack.end = sim::SimTime::from_seconds(2.5);
-
-  const auto zipf = std::make_shared<const cluster::ZipfAliasSampler>(
-      traffic.keyspace, traffic.zipf_theta);
-
-  auto make_cluster = [&]() {
-    cluster::ClusterConfig config;
-    config.topology = topo;
-    config.seed = 0x1234;
-    return std::make_unique<cluster::Cluster>(config);
-  };
-  auto make_actions = [&](cluster::Cluster* c) {
-    std::vector<cluster::TimelineAction> actions;
-    actions.push_back({attack.start, [c, attack](sim::SimTime t) {
-                         c->apply_attack(0, t, attack);
-                       }});
-    actions.push_back(
-        {attack.end, [c](sim::SimTime t) { c->stop_attack(0, t); }});
-    return actions;
-  };
   auto run_engine = [&](bool serving_on, double& best_wall,
                         std::uint64_t& requests) {
+    cluster::CellSpec spec = bench::attacked_fleet_spec(pods, rate_per_s);
+    if (serving_on) {
+      spec.engine.serving.enabled = true;
+      spec.engine.serving.server.queue_limit = 8;
+      spec.engine.serving.clients = clients;
+    }
     for (int rep = 0; rep < reps; ++rep) {  // rep 0 is the warm-up
-      auto cl = make_cluster();
-      cluster::EngineConfig config;
-      config.balancer = balancer_config;
-      config.traffic = traffic;
-      config.zipf = zipf;
-      config.jobs = 0;  // $DEEPNOTE_JOBS
-      if (serving_on) {
-        config.serving.enabled = true;
-        config.serving.server.queue_limit = 8;
-        config.serving.clients = clients;
-      }
-      cluster::ShardedClusterEngine engine(cl->topology(),
-                                           cl->device_pointers(), config);
-      cluster::SloTracker slo(sim::SimTime::zero());
-      slo.set_focus(attack.start, attack.end);
-      auto actions = make_actions(cl.get());
+      cluster::Cell cell(spec);
       const auto t0 = std::chrono::steady_clock::now();
-      const cluster::EngineReport report =
-          engine.run(sim::SimTime::zero(), slo, std::move(actions));
+      const cluster::EngineReport report = cell.run();
       const auto t1 = std::chrono::steady_clock::now();
       const double wall = std::chrono::duration<double>(t1 - t0).count();
       if (rep == 1 || (rep > 1 && wall < best_wall)) {

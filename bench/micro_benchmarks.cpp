@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "acoustics/absorption.h"
+#include "attacked_fleet.h"
 #include "cluster/balancer.h"
 #include "cluster/engine.h"
 #include "cluster/node.h"
@@ -596,52 +597,16 @@ BENCHMARK(BM_ClusterBalancerRead);
 // table, placement) is excluded from timing so the measured quantity is
 // the serving loop itself. Items are requests served.
 static void BM_ClusterAvailability(benchmark::State& state) {
-  // The 1M-key alias table is immutable and shared across iterations,
-  // exactly as run_cluster_experiment shares it across grid cells.
-  static const auto zipf =
-      std::make_shared<const cluster::ZipfAliasSampler>(1000000, 0.99);
-
-  core::AttackConfig attack;
-  attack.frequency_hz = 650.0;
-  attack.spl_air_db = 140.0;
-  attack.distance_m = 0.01;
-  attack.start = sim::SimTime::from_seconds(0.5);
-  attack.end = sim::SimTime::from_seconds(2.5);
+  const cluster::CellSpec spec =
+      bench::attacked_fleet_spec(/*pods=*/200, /*rate_per_s=*/400.0);
 
   std::int64_t requests = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    cluster::ClusterConfig cluster_config;
-    cluster_config.topology =
-        cluster::ClusterTopology{.pods = 200, .bays_per_pod = 5};
-    cluster_config.seed = 0x1234;
-    cluster::Cluster cluster(cluster_config);
-
-    cluster::EngineConfig config;
-    config.balancer.policy = cluster::PlacementPolicy::kCrossPod;
-    config.balancer.objects = 20000;
-    config.traffic.arrival_rate_per_s = 400.0;
-    config.traffic.duration = sim::Duration::from_seconds(3.0);
-    config.traffic.keyspace = 1000000;
-    config.traffic.seed = 0xbeef;
-    config.zipf = zipf;
-    config.jobs = 0;  // $DEEPNOTE_JOBS
-    cluster::ShardedClusterEngine engine(cluster.topology(),
-                                         cluster.device_pointers(), config);
-
-    std::vector<cluster::TimelineAction> actions;
-    actions.push_back({attack.start, [&cluster, attack](sim::SimTime t) {
-                         cluster.apply_attack(0, t, attack);
-                       }});
-    actions.push_back({attack.end, [&cluster](sim::SimTime t) {
-                         cluster.stop_attack(0, t);
-                       }});
-    cluster::SloTracker slo(sim::SimTime::zero());
-    slo.set_focus(attack.start, attack.end);
+    cluster::Cell cell(spec);
     state.ResumeTiming();
 
-    const cluster::EngineReport report =
-        engine.run(sim::SimTime::zero(), slo, std::move(actions));
+    const cluster::EngineReport report = cell.run();
     benchmark::DoNotOptimize(report.stats.reads);
     requests += static_cast<std::int64_t>(report.traffic.requests);
   }
@@ -658,53 +623,19 @@ BENCHMARK(BM_ClusterAvailability);
 // traffic (reset walks, stats aggregation, depth sampling all must
 // not). Fixture construction is excluded as above. Items are requests.
 static void BM_ClusterServing10k(benchmark::State& state) {
-  static const auto zipf =
-      std::make_shared<const cluster::ZipfAliasSampler>(1000000, 0.99);
-
-  core::AttackConfig attack;
-  attack.frequency_hz = 650.0;
-  attack.spl_air_db = 140.0;
-  attack.distance_m = 0.01;
-  attack.start = sim::SimTime::from_seconds(0.5);
-  attack.end = sim::SimTime::from_seconds(2.5);
+  cluster::CellSpec spec =
+      bench::attacked_fleet_spec(/*pods=*/2000, /*rate_per_s=*/4000.0);
+  spec.engine.serving.enabled = true;
+  spec.engine.serving.server.queue_limit = 8;
+  spec.engine.serving.clients = 640;
 
   std::int64_t requests = 0;
   for (auto _ : state) {
     state.PauseTiming();
-    cluster::ClusterConfig cluster_config;
-    cluster_config.topology =
-        cluster::ClusterTopology{.pods = 2000, .bays_per_pod = 5};
-    cluster_config.seed = 0x1234;
-    cluster::Cluster cluster(cluster_config);
-
-    cluster::EngineConfig config;
-    config.balancer.policy = cluster::PlacementPolicy::kCrossPod;
-    config.balancer.objects = 20000;
-    config.traffic.arrival_rate_per_s = 4000.0;
-    config.traffic.duration = sim::Duration::from_seconds(3.0);
-    config.traffic.keyspace = 1000000;
-    config.traffic.seed = 0xbeef;
-    config.zipf = zipf;
-    config.jobs = 0;  // $DEEPNOTE_JOBS
-    config.serving.enabled = true;
-    config.serving.server.queue_limit = 8;
-    config.serving.clients = 640;
-    cluster::ShardedClusterEngine engine(cluster.topology(),
-                                         cluster.device_pointers(), config);
-
-    std::vector<cluster::TimelineAction> actions;
-    actions.push_back({attack.start, [&cluster, attack](sim::SimTime t) {
-                         cluster.apply_attack(0, t, attack);
-                       }});
-    actions.push_back({attack.end, [&cluster](sim::SimTime t) {
-                         cluster.stop_attack(0, t);
-                       }});
-    cluster::SloTracker slo(sim::SimTime::zero());
-    slo.set_focus(attack.start, attack.end);
+    cluster::Cell cell(spec);
     state.ResumeTiming();
 
-    const cluster::EngineReport report =
-        engine.run(sim::SimTime::zero(), slo, std::move(actions));
+    const cluster::EngineReport report = cell.run();
     benchmark::DoNotOptimize(report.serving.legs_served);
     requests += static_cast<std::int64_t>(report.traffic.requests);
   }

@@ -1,10 +1,10 @@
 #include "cluster/experiment.h"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
-#include "core/attack.h"
-#include "sim/trial_runner.h"
+#include "cluster/cell.h"
 
 namespace deepnote::cluster {
 
@@ -21,64 +21,6 @@ ClusterExperimentConfig cluster_experiment_config(double scale) {
 }
 
 namespace {
-
-/// Everything a cell needs before choosing an execution engine: the
-/// cluster, the attack timeline, the focus-tracking SLO, and resolved
-/// balancer/traffic configs.
-struct CellSetup {
-  Cluster cluster;
-  BalancerConfig balancer;
-  TrafficConfig traffic;
-  SloTracker slo;
-  std::vector<TimelineAction> actions;
-
-  /// Works for both experiment config types (they share the relevant
-  /// field names: topology/scenario, balancer/traffic, the attack shape
-  /// and the warmup/attack/cooldown timeline).
-  template <typename ConfigT>
-  CellSetup(const ConfigT& config, PlacementPolicy policy,
-            std::optional<double> distance_m, std::uint64_t cell_seed)
-      : cluster(make_cluster_config(config, cell_seed)),
-        balancer(config.balancer),
-        traffic(config.traffic),
-        slo(sim::SimTime::zero()) {
-    balancer.policy = policy;
-    balancer.replication = config.replication;
-    traffic.duration = config.warmup + config.attack_window + config.cooldown;
-    traffic.seed = sim::trial_seed(cell_seed, 1);
-
-    const sim::SimTime attack_on = sim::SimTime::zero() + config.warmup;
-    const sim::SimTime attack_off = attack_on + config.attack_window;
-    slo.set_focus(attack_on, attack_off);
-
-    if (distance_m.has_value()) {
-      core::AttackConfig attack;
-      attack.frequency_hz = config.frequency_hz;
-      attack.spl_air_db = config.spl_air_db;
-      attack.distance_m = *distance_m;
-      attack.start = attack_on;
-      attack.end = attack_off;
-      const std::size_t pod = config.attacked_pod;
-      Cluster* target = &cluster;
-      actions.push_back({attack_on, [target, pod, attack](sim::SimTime t) {
-                           target->apply_attack(pod, t, attack);
-                         }});
-      actions.push_back({attack_off, [target, pod](sim::SimTime t) {
-                           target->stop_attack(pod, t);
-                         }});
-    }
-  }
-
-  template <typename ConfigT>
-  static ClusterConfig make_cluster_config(
-      const ConfigT& config, std::uint64_t cell_seed) {
-    ClusterConfig cluster_config;
-    cluster_config.scenario = config.scenario;
-    cluster_config.topology = config.topology;
-    cluster_config.seed = sim::trial_seed(cell_seed, 0);
-    return cluster_config;
-  }
-};
 
 ClusterTrialRow make_row(PlacementPolicy policy,
                          std::optional<double> distance_m,
@@ -109,58 +51,47 @@ ClusterTrialRow run_cluster_cell(const ClusterExperimentConfig& config,
                                  std::uint64_t cell_seed,
                                  std::shared_ptr<const ZipfAliasSampler> zipf,
                                  unsigned engine_jobs) {
-  CellSetup cell(config, policy, distance_m, cell_seed);
-
-  EngineConfig engine_config;
-  engine_config.balancer = cell.balancer;
-  engine_config.traffic = cell.traffic;
-  engine_config.detector = cell.cluster.config().detector;
-  engine_config.jobs = engine_jobs;
-  engine_config.zipf = std::move(zipf);
-  ShardedClusterEngine engine(cell.cluster.topology(),
-                              cell.cluster.device_pointers(),
-                              std::move(engine_config));
-
-  const EngineReport report = engine.run(sim::SimTime::zero(), cell.slo,
-                                         std::move(cell.actions));
-  return make_row(policy, distance_m, report.traffic, cell.slo, report.stats);
+  Cell cell(grid_cell_spec(config, policy, cell_seed, config.attack_window,
+                           config.cooldown, {config.attacked_pod}, distance_m,
+                           std::move(zipf), engine_jobs));
+  const EngineReport report = cell.run();
+  return make_row(policy, distance_m, report.traffic, cell.slo(),
+                  report.stats);
 }
 
 ClusterTrialRow run_cluster_cell_serial(const ClusterExperimentConfig& config,
                                         PlacementPolicy policy,
                                         std::optional<double> distance_m,
                                         std::uint64_t cell_seed) {
-  CellSetup cell(config, policy, distance_m, cell_seed);
-
-  Balancer balancer(cell.cluster, cell.balancer);
-  TrafficRunner traffic(balancer, cell.traffic);
-  const TrafficReport report =
-      traffic.run(sim::SimTime::zero(), cell.slo, std::move(cell.actions));
-  return make_row(policy, distance_m, report, cell.slo, balancer.stats());
+  const CellSpec spec = grid_cell_spec(
+      config, policy, cell_seed, config.attack_window, config.cooldown,
+      {config.attacked_pod}, distance_m, nullptr, 1);
+  Cluster cluster(spec.cluster);
+  Balancer balancer(cluster, spec.engine.balancer);
+  TrafficRunner traffic(balancer, spec.engine.traffic);
+  SloTracker slo(sim::SimTime::zero());
+  slo.set_focus(spec.focus_begin, spec.focus_end);
+  const TrafficReport report = traffic.run(
+      sim::SimTime::zero(), slo,
+      resilience::pod_attack_actions(spec.schedule(), cluster, spec.chaos));
+  return make_row(policy, distance_m, report, slo, balancer.stats());
 }
 
 std::vector<ClusterTrialRow> run_cluster_experiment(
     const ClusterExperimentConfig& config) {
-  struct Cell {
+  struct Point {
     PlacementPolicy policy;
     std::optional<double> distance_m;
   };
-  std::vector<Cell> grid;
-  grid.reserve(config.policies.size() * config.distances_m.size());
+  std::vector<Point> grid;
   for (PlacementPolicy policy : config.policies) {
     for (const auto& distance : config.distances_m) {
       grid.push_back({policy, distance});
     }
   }
-  // One alias table serves every cell: it depends only on
-  // (keyspace, theta), which the grid never varies.
-  const auto zipf = std::make_shared<const ZipfAliasSampler>(
-      config.traffic.keyspace, config.traffic.zipf_theta);
-  return sim::run_trials<ClusterTrialRow>(
-      grid.size(), config.jobs, [&](std::size_t i) {
-        return run_cluster_cell(config, grid[i].policy, grid[i].distance_m,
-                                sim::trial_seed(config.seed, i), zipf);
-      });
+  return run_cell_grid(config, grid, [&](const Point& p, auto seed, auto z) {
+    return run_cluster_cell(config, p.policy, p.distance_m, seed, z);
+  });
 }
 
 ServingExperimentConfig serving_experiment_config(double scale) {
@@ -183,52 +114,40 @@ ServingTrialRow run_serving_cell(const ServingExperimentConfig& config,
                                  std::uint64_t cell_seed,
                                  std::shared_ptr<const ZipfAliasSampler> zipf,
                                  unsigned engine_jobs) {
-  CellSetup cell(config, config.policy, distance_m, cell_seed);
-
-  EngineConfig engine_config;
-  engine_config.balancer = cell.balancer;
-  engine_config.traffic = cell.traffic;
-  engine_config.detector = cell.cluster.config().detector;
-  engine_config.jobs = engine_jobs;
-  engine_config.zipf = std::move(zipf);
-  engine_config.serving = config.serving;
-  engine_config.serving.enabled = true;
-  engine_config.serving.server.queue_limit = queue_limit;
-  engine_config.serving.server.admission = admission;
-  ShardedClusterEngine engine(cell.cluster.topology(),
-                              cell.cluster.device_pointers(),
-                              std::move(engine_config));
-
-  const EngineReport report = engine.run(sim::SimTime::zero(), cell.slo,
-                                         std::move(cell.actions));
-
-  const sim::SimTime attack_on = sim::SimTime::zero() + config.warmup;
-  const sim::SimTime attack_off = attack_on + config.attack_window;
+  CellSpec spec = grid_cell_spec(
+      config, config.policy, cell_seed, config.attack_window, config.cooldown,
+      {config.attacked_pod}, distance_m, std::move(zipf), engine_jobs);
+  spec.engine.serving = config.serving;
+  spec.engine.serving.enabled = true;
+  spec.engine.serving.server.queue_limit = queue_limit;
+  spec.engine.serving.server.admission = admission;
+  Cell cell(spec);
+  const EngineReport report = cell.run();
+  const auto& slo = cell.slo();
 
   ServingTrialRow row;
   row.queue_limit = queue_limit;
   row.admission = admission;
   row.distance_m = distance_m;
   row.requests = report.traffic.requests;
-  row.availability = cell.slo.availability();
-  row.attack_availability = cell.slo.focus_availability();
-  row.p50_ms = cell.slo.p50().millis();
-  row.p99_ms = cell.slo.p99().millis();
+  row.availability = slo.availability();
+  row.attack_availability = slo.focus_availability();
+  row.p50_ms = slo.p50().millis();
+  row.p99_ms = slo.p99().millis();
   row.queue_wait_p99_ms = report.serving.queue_wait_p99_ms;
   row.service_p99_ms = report.serving.service_p99_ms;
   row.shed_requests = report.serving.shed_requests;
   row.timed_out_requests = report.serving.timed_out_requests;
   row.legs_shed = report.serving.legs_shed;
   row.legs_timed_out = report.serving.legs_timed_out;
-  row.attack_shed = cell.slo.focus_outcome_count(OutcomeKind::kShed);
-  row.attack_timed_out = cell.slo.focus_outcome_count(OutcomeKind::kTimedOut);
+  row.attack_shed = slo.focus_outcome_count(OutcomeKind::kShed);
+  row.attack_timed_out = slo.focus_outcome_count(OutcomeKind::kTimedOut);
   row.client_retries = report.serving.client_retries;
   row.max_queue_depth = report.serving.max_queue_depth;
-  for (const ShardedClusterEngine::DepthSample& sample :
-       engine.depth_timeline()) {
+  for (const auto& sample : cell.engine().depth_timeline()) {
     // Epochs are clamped to the attack boundaries, so the window's
     // samples are exactly those ending in (on, off].
-    if (sample.at > attack_on && sample.at <= attack_off) {
+    if (sample.at > spec.focus_begin && sample.at <= spec.focus_end) {
       row.attack_max_queue_depth =
           std::max(row.attack_max_queue_depth, sample.depth);
     }
@@ -240,14 +159,12 @@ ServingTrialRow run_serving_cell(const ServingExperimentConfig& config,
 
 std::vector<ServingTrialRow> run_serving_experiment(
     const ServingExperimentConfig& config) {
-  struct Cell {
+  struct Point {
     std::size_t queue_limit;
     serving::AdmissionPolicy admission;
     std::optional<double> distance_m;
   };
-  std::vector<Cell> grid;
-  grid.reserve(config.queue_limits.size() * config.admissions.size() *
-               config.distances_m.size());
+  std::vector<Point> grid;
   for (const std::size_t queue_limit : config.queue_limits) {
     for (const serving::AdmissionPolicy admission : config.admissions) {
       for (const auto& distance : config.distances_m) {
@@ -255,14 +172,10 @@ std::vector<ServingTrialRow> run_serving_experiment(
       }
     }
   }
-  const auto zipf = std::make_shared<const ZipfAliasSampler>(
-      config.traffic.keyspace, config.traffic.zipf_theta);
-  return sim::run_trials<ServingTrialRow>(
-      grid.size(), config.jobs, [&](std::size_t i) {
-        return run_serving_cell(config, grid[i].queue_limit,
-                                grid[i].admission, grid[i].distance_m,
-                                sim::trial_seed(config.seed, i), zipf);
-      });
+  return run_cell_grid(config, grid, [&](const Point& p, auto seed, auto z) {
+    return run_serving_cell(config, p.queue_limit, p.admission, p.distance_m,
+                            seed, z);
+  });
 }
 
 sim::Table build_cluster_serving_table(

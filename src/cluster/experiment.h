@@ -2,12 +2,12 @@
 // single-pod acoustic attack, swept over placement policy and attacker
 // distance.
 //
-// Each grid cell is one independent trial (own Cluster, Balancer,
-// traffic stream; seeded by sim::trial_seed) fanned across the parallel
-// trial engine — output is bit-identical at any DEEPNOTE_JOBS setting.
-// A trial serves warmup traffic, insonifies one pod at 650 Hz / 140 dB
-// for the attack window, then cools down; availability inside the
-// window is accounted separately.
+// Each grid cell is one independent trial: a Cell (cell.h) built from a
+// CellSpec seeded by sim::trial_seed, fanned across the parallel trial
+// engine — output is bit-identical at any DEEPNOTE_JOBS setting. A
+// trial serves warmup traffic, insonifies one pod at 650 Hz / 140 dB for
+// the attack window (a scripted chaos pod attack), then cools down;
+// availability inside the window is accounted separately.
 //
 // The headline the table pins down: cross-pod 3-way replication rides
 // out a pod-level attack above 99% availability, while the dense
@@ -89,9 +89,9 @@ ClusterTrialRow run_cluster_cell(const ClusterExperimentConfig& config,
                                      nullptr,
                                  unsigned engine_jobs = 1);
 
-/// The same cell on the PR5 serial composition (Balancer +
-/// TrafficRunner, one request at a time). Kept as the reference the
-/// engine's speedup is measured against in bench_json.
+/// The same cell spec on the serial composition (Balancer +
+/// TrafficRunner, one request at a time). Kept as the oracle engine_test
+/// checks the engine against and the baseline of its bench_json speedup.
 ClusterTrialRow run_cluster_cell_serial(const ClusterExperimentConfig& config,
                                         PlacementPolicy policy,
                                         std::optional<double> distance_m,

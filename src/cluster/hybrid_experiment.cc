@@ -3,10 +3,8 @@
 #include <string>
 #include <utility>
 
-#include "cluster/engine.h"
-#include "core/attack.h"
+#include "cluster/cell.h"
 #include "hdd/smart.h"
-#include "sim/trial_runner.h"
 
 namespace deepnote::cluster {
 
@@ -29,57 +27,17 @@ HybridTrialRow run_hybrid_cell(const HybridExperimentConfig& config,
                                std::uint64_t cell_seed,
                                std::shared_ptr<const ZipfAliasSampler> zipf,
                                unsigned engine_jobs) {
-  ClusterConfig cluster_config;
-  cluster_config.scenario = config.scenario;
-  cluster_config.topology = config.topology;
-  cluster_config.node_type = node_type;
-  cluster_config.hybrid = config.hybrid;
-  cluster_config.seed = sim::trial_seed(cell_seed, 0);
-  Cluster cluster(cluster_config);
-
   const sim::Duration window = sim::Duration::from_seconds(
       config.attack_window.seconds() * attack_multiplier);
-
-  BalancerConfig balancer = config.balancer;
-  balancer.policy = config.policy;
-  balancer.replication = config.replication;
-  TrafficConfig traffic = config.traffic;
-  traffic.duration = config.warmup + window + config.cooldown;
-  traffic.seed = sim::trial_seed(cell_seed, 1);
-
-  const sim::SimTime attack_on = sim::SimTime::zero() + config.warmup;
-  const sim::SimTime attack_off = attack_on + window;
-  SloTracker slo(sim::SimTime::zero());
-  slo.set_focus(attack_on, attack_off);
-
-  std::vector<TimelineAction> actions;
-  if (distance_m.has_value()) {
-    core::AttackConfig attack;
-    attack.frequency_hz = config.frequency_hz;
-    attack.spl_air_db = config.spl_air_db;
-    attack.distance_m = *distance_m;
-    attack.start = attack_on;
-    attack.end = attack_off;
-    const std::size_t pod = config.attacked_pod;
-    Cluster* target = &cluster;
-    actions.push_back({attack_on, [target, pod, attack](sim::SimTime t) {
-                         target->apply_attack(pod, t, attack);
-                       }});
-    actions.push_back({attack_off, [target, pod](sim::SimTime t) {
-                         target->stop_attack(pod, t);
-                       }});
-  }
-
-  EngineConfig engine_config;
-  engine_config.balancer = balancer;
-  engine_config.traffic = traffic;
-  engine_config.detector = cluster.config().detector;
-  engine_config.jobs = engine_jobs;
-  engine_config.zipf = std::move(zipf);
-  ShardedClusterEngine engine(cluster.topology(), cluster.device_pointers(),
-                              std::move(engine_config));
-  const EngineReport report =
-      engine.run(sim::SimTime::zero(), slo, std::move(actions));
+  CellSpec spec = grid_cell_spec(config, config.policy, cell_seed, window,
+                                 config.cooldown, {config.attacked_pod},
+                                 distance_m, std::move(zipf), engine_jobs);
+  spec.cluster.node_type = node_type;
+  spec.cluster.hybrid = config.hybrid;
+  Cell cell(std::move(spec));
+  const EngineReport report = cell.run();
+  const auto& slo = cell.slo();
+  const Cluster& cluster = cell.cluster();
 
   HybridTrialRow row;
   row.node_type = node_type;
@@ -112,12 +70,12 @@ HybridTrialRow run_hybrid_cell(const HybridExperimentConfig& config,
 
 std::vector<HybridTrialRow> run_hybrid_experiment(
     const HybridExperimentConfig& config) {
-  struct Cell {
+  struct Point {
     NodeType node_type;
     std::optional<double> distance_m;
     double multiplier;
   };
-  std::vector<Cell> grid;
+  std::vector<Point> grid;
   for (const NodeType node_type : config.node_types) {
     for (const auto& distance : config.distances_m) {
       for (const double multiplier : config.attack_multipliers) {
@@ -127,14 +85,10 @@ std::vector<HybridTrialRow> run_hybrid_experiment(
       }
     }
   }
-  const auto zipf = std::make_shared<const ZipfAliasSampler>(
-      config.traffic.keyspace, config.traffic.zipf_theta);
-  return sim::run_trials<HybridTrialRow>(
-      grid.size(), config.jobs, [&](std::size_t i) {
-        return run_hybrid_cell(config, grid[i].node_type,
-                               grid[i].distance_m, grid[i].multiplier,
-                               sim::trial_seed(config.seed, i), zipf);
-      });
+  return run_cell_grid(config, grid, [&](const Point& p, auto seed, auto z) {
+    return run_hybrid_cell(config, p.node_type, p.distance_m, p.multiplier,
+                           seed, z);
+  });
 }
 
 sim::Table build_hybrid_availability_table(

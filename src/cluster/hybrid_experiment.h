@@ -13,7 +13,8 @@
 // for as long as the heads stay parked, then drains its dirty pages
 // back to the HDDs after the field clears.
 //
-// Each cell is one independent trial on the sharded engine, seeded by
+// Each cell is one independent trial: a Cell (cell.h) on a hybrid or
+// pure-HDD cluster with the attack scripted as chaos, seeded by
 // sim::trial_seed and fanned across the trial pool — bit-identical at
 // any DEEPNOTE_JOBS setting.
 #pragma once

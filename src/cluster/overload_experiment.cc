@@ -4,8 +4,7 @@
 #include <string>
 #include <utility>
 
-#include "cluster/resilience/chaos.h"
-#include "sim/trial_runner.h"
+#include "cluster/cell.h"
 
 namespace deepnote::cluster {
 
@@ -58,13 +57,41 @@ OverloadExperimentConfig overload_experiment_config(double scale) {
   return config;
 }
 
-namespace {
-
-OverloadTrialRow make_overload_row(const OverloadExperimentConfig& config,
+OverloadTrialRow run_overload_cell(const OverloadExperimentConfig& config,
                                    OverloadPolicy policy, bool breaker_on,
                                    sim::Duration attack,
-                                   const EngineReport& report,
-                                   const SloTracker& slo) {
+                                   std::uint64_t cell_seed,
+                                   std::shared_ptr<const ZipfAliasSampler> zipf,
+                                   unsigned engine_jobs) {
+  CellSpec spec = grid_cell_spec(config, config.placement, cell_seed, attack,
+                                 config.observe, config.attacked_pods,
+                                 config.attack_distance_m, std::move(zipf),
+                                 engine_jobs);
+  ServingModeConfig& serving = spec.engine.serving;
+  serving.enabled = true;
+  serving.closed_loop = true;
+  serving.clients = config.clients;
+  serving.server.queue_limit = config.queue_limit;
+  serving.server.admission = config.admission;
+  if (policy == OverloadPolicy::kNaive) {
+    serving.backoff = config.naive_backoff;
+    serving.retry_budget.enabled = false;
+    // The wasted-work ingredient: expired requests still burn device
+    // time, so during a storm the fleet is 100% busy serving requests
+    // nobody is waiting for.
+    serving.server.drop_expired = false;
+  } else {
+    serving.backoff = config.governed_backoff;
+    serving.retry_budget = config.governed_budget;
+    serving.server.drop_expired = true;
+  }
+  spec.engine.breaker = config.breaker;
+  spec.engine.breaker.enabled = breaker_on;
+
+  Cell cell(spec);
+  const EngineReport report = cell.run();
+  const auto& slo = cell.slo();
+
   OverloadTrialRow row;
   row.policy = policy;
   row.breaker_on = breaker_on;
@@ -83,17 +110,16 @@ OverloadTrialRow make_overload_row(const OverloadExperimentConfig& config,
   // Post-attack accounting straight off the SLO's fixed windows. The
   // recovery clock stops at the END of the first window at/above the
   // threshold — a conservative, window-granular reading.
-  const sim::SimTime attack_off = sim::SimTime::zero() + config.warmup + attack;
   const std::int64_t window_ns = slo.config().window.ns();
-  const std::vector<SloTracker::Window>& windows = slo.windows();
+  const auto& windows = slo.windows();
   std::uint64_t post_ok = 0;
   std::uint64_t post_fail = 0;
   row.recovery_s = config.observe.seconds();
   for (std::size_t i = 0; i < windows.size(); ++i) {
     const std::int64_t begin_ns =
         slo.start().ns() + static_cast<std::int64_t>(i) * window_ns;
-    if (begin_ns < attack_off.ns()) continue;
-    const SloTracker::Window& w = windows[i];
+    if (begin_ns < spec.focus_end.ns()) continue;
+    const auto& w = windows[i];
     post_ok += w.ok;
     post_fail += w.fail;
     if (w.ok + w.fail == 0) continue;  // no arrivals: says nothing
@@ -102,7 +128,8 @@ OverloadTrialRow make_overload_row(const OverloadExperimentConfig& config,
     if (!row.recovered && avail >= config.recovered_availability) {
       row.recovered = true;
       row.recovery_s =
-          static_cast<double>(begin_ns + window_ns - attack_off.ns()) * 1e-9;
+          static_cast<double>(begin_ns + window_ns - spec.focus_end.ns()) *
+          1e-9;
     }
   }
   const std::uint64_t post_total = post_ok + post_fail;
@@ -113,93 +140,14 @@ OverloadTrialRow make_overload_row(const OverloadExperimentConfig& config,
   return row;
 }
 
-}  // namespace
-
-OverloadTrialRow run_overload_cell(const OverloadExperimentConfig& config,
-                                   OverloadPolicy policy, bool breaker_on,
-                                   sim::Duration attack,
-                                   std::uint64_t cell_seed,
-                                   std::shared_ptr<const ZipfAliasSampler> zipf,
-                                   unsigned engine_jobs) {
-  ClusterConfig cluster_config;
-  cluster_config.scenario = config.scenario;
-  cluster_config.topology = config.topology;
-  cluster_config.seed = sim::trial_seed(cell_seed, 0);
-  Cluster cluster(cluster_config);
-
-  const sim::SimTime start = sim::SimTime::zero();
-  const sim::SimTime attack_on = start + config.warmup;
-  const sim::SimTime attack_off = attack_on + attack;
-
-  EngineConfig engine_config;
-  engine_config.balancer = config.balancer;
-  engine_config.balancer.policy = config.placement;
-  engine_config.balancer.replication = config.replication;
-  engine_config.traffic = config.traffic;
-  engine_config.traffic.duration = config.warmup + attack + config.observe;
-  engine_config.traffic.seed = sim::trial_seed(cell_seed, 1);
-  engine_config.detector = cluster.config().detector;
-  engine_config.jobs = engine_jobs;
-  engine_config.zipf = std::move(zipf);
-  engine_config.serving.enabled = true;
-  engine_config.serving.closed_loop = true;
-  engine_config.serving.clients = config.clients;
-  engine_config.serving.server.queue_limit = config.queue_limit;
-  engine_config.serving.server.admission = config.admission;
-  if (policy == OverloadPolicy::kNaive) {
-    engine_config.serving.backoff = config.naive_backoff;
-    engine_config.serving.retry_budget.enabled = false;
-    // The wasted-work ingredient: expired requests still burn device
-    // time, so during a storm the fleet is 100% busy serving requests
-    // nobody is waiting for.
-    engine_config.serving.server.drop_expired = false;
-  } else {
-    engine_config.serving.backoff = config.governed_backoff;
-    engine_config.serving.retry_budget = config.governed_budget;
-    engine_config.serving.server.drop_expired = true;
-  }
-  engine_config.breaker = config.breaker;
-  engine_config.breaker.enabled = breaker_on;
-
-  ShardedClusterEngine engine(cluster.topology(), cluster.device_pointers(),
-                              std::move(engine_config));
-
-  // The attack rides the chaos schedule: scripted pod pulses, lowered
-  // onto epoch barriers exactly like randomized chaos would be.
-  resilience::ChaosConfig chaos;
-  chaos.nodes = cluster.topology().nodes();
-  chaos.pods = cluster.topology().pods;
-  chaos.pulse_frequency_hz = config.frequency_hz;
-  chaos.pulse_spl_air_db = config.spl_air_db;
-  for (const std::size_t pod : config.attacked_pods) {
-    chaos.scripted.push_back(
-        {attack_on, resilience::ChaosEventKind::kPodAttackOn,
-         static_cast<std::uint32_t>(pod), config.attack_distance_m});
-    chaos.scripted.push_back({attack_off,
-                              resilience::ChaosEventKind::kPodAttackOff,
-                              static_cast<std::uint32_t>(pod), 0.0});
-  }
-  const std::vector<resilience::ChaosEvent> schedule =
-      resilience::make_chaos_schedule(chaos, cell_seed, 2);
-  std::vector<TimelineAction> actions =
-      resilience::chaos_actions(schedule, engine, cluster, chaos);
-
-  SloTracker slo(start);
-  slo.set_focus(attack_on, attack_off);
-  const EngineReport report = engine.run(start, slo, std::move(actions));
-  return make_overload_row(config, policy, breaker_on, attack, report, slo);
-}
-
 std::vector<OverloadTrialRow> run_overload_experiment(
     const OverloadExperimentConfig& config) {
-  struct Cell {
+  struct Point {
     OverloadPolicy policy;
     bool breaker_on;
     sim::Duration attack;
   };
-  std::vector<Cell> grid;
-  grid.reserve(config.policies.size() * config.breaker_settings.size() *
-               config.attack_durations.size());
+  std::vector<Point> grid;
   for (const OverloadPolicy policy : config.policies) {
     for (const bool breaker_on : config.breaker_settings) {
       for (const sim::Duration attack : config.attack_durations) {
@@ -207,14 +155,10 @@ std::vector<OverloadTrialRow> run_overload_experiment(
       }
     }
   }
-  const auto zipf = std::make_shared<const ZipfAliasSampler>(
-      config.traffic.keyspace, config.traffic.zipf_theta);
-  return sim::run_trials<OverloadTrialRow>(
-      grid.size(), config.jobs, [&](std::size_t i) {
-        return run_overload_cell(config, grid[i].policy, grid[i].breaker_on,
-                                 grid[i].attack,
-                                 sim::trial_seed(config.seed, i), zipf);
-      });
+  return run_cell_grid(config, grid, [&](const Point& p, auto seed, auto z) {
+    return run_overload_cell(config, p.policy, p.breaker_on, p.attack, seed,
+                             z);
+  });
 }
 
 sim::Table build_overload_recovery_table(

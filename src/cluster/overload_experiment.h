@@ -15,10 +15,9 @@
 //
 // The grid sweeps retry policy x circuit breakers x attack duration,
 // measuring goodput inside the attack window, after it, and the time
-// from attack-off to the first healthy SLO window. The attack itself is
-// injected through the chaos schedule (scripted pod pulses lowered onto
-// the engine's epoch barriers), so the golden table also pins the chaos
-// path end to end.
+// from attack-off to the first healthy SLO window. Like every cluster
+// experiment, a cell is a Cell (cell.h) whose attack is scripted chaos:
+// pod pulses lowered onto the engine's epoch barriers.
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
 #include "cluster/engine.h"
@@ -46,7 +47,61 @@ sim::Duration draw_span(sim::Rng& rng, sim::Duration lo, sim::Duration hi) {
   return sim::Duration::from_seconds(rng.uniform(lo_s, hi_s));
 }
 
+/// A pod-attack event as an action on the cluster. The field starts at
+/// the event and lasts until the paired kPodAttackOff silences the pod.
+TimelineAction pod_attack_action(const ChaosEvent& event, Cluster* cluster,
+                                 const ChaosConfig& config) {
+  const std::uint32_t pod = event.target;
+  if (event.kind == ChaosEventKind::kPodAttackOff) {
+    return {event.at,
+            [cluster, pod](sim::SimTime t) { cluster->stop_attack(pod, t); }};
+  }
+  const core::AttackConfig attack{.frequency_hz = config.pulse_frequency_hz,
+                                  .spl_air_db = config.pulse_spl_air_db,
+                                  .distance_m = event.magnitude,
+                                  .start = event.at,
+                                  .end = sim::SimTime::infinity()};
+  return {event.at, [cluster, pod, attack](sim::SimTime t) {
+            cluster->apply_attack(pod, t, attack);
+          }};
+}
+
+bool is_pod_attack(ChaosEventKind kind) {
+  return kind == ChaosEventKind::kPodAttackOn ||
+         kind == ChaosEventKind::kPodAttackOff;
+}
+
+/// An engine-side fault (every kind but the pod attacks).
+void inject(ShardedClusterEngine& e, const ChaosEvent& event) {
+  using enum ChaosEventKind;
+  using enum ChaosFlapMode;
+  const std::uint32_t n = event.target;
+  switch (event.kind) {
+    case kNodeCrash: return e.chaos_node_down(n, true);
+    case kNodeRestart: return e.chaos_node_down(n, false);
+    case kDetectorForce: return e.chaos_set_flap(n, kForceDown);
+    case kDetectorSuppress: return e.chaos_set_flap(n, kSuppress);
+    case kDetectorClear: return e.chaos_set_flap(n, kNone);
+    case kSlowNode: return e.chaos_set_service_scale(n, event.magnitude);
+    case kSlowNodeEnd: return e.chaos_set_service_scale(n, 1.0);
+    case kPodAttackOn:
+    case kPodAttackOff: return;  // lowered onto the Cluster instead
+  }
+}
+
 }  // namespace
+
+void script_pod_attack(ChaosConfig& config,
+                       const std::vector<std::size_t>& pods,
+                       double distance_m, sim::SimTime on, sim::SimTime off) {
+  for (const std::size_t pod : pods) {
+    const auto target = static_cast<std::uint32_t>(pod);
+    config.scripted.push_back(
+        {on, ChaosEventKind::kPodAttackOn, target, distance_m});
+    config.scripted.push_back(
+        {off, ChaosEventKind::kPodAttackOff, target, 0.0});
+  }
+}
 
 std::vector<ChaosEvent> make_chaos_schedule(const ChaosConfig& config,
                                             std::uint64_t base_seed,
@@ -154,66 +209,29 @@ std::vector<TimelineAction> chaos_actions(const std::vector<ChaosEvent>& events,
   std::vector<TimelineAction> actions;
   actions.reserve(events.size());
   ShardedClusterEngine* eng = &engine;
-  Cluster* clu = &cluster;
   for (const ChaosEvent& event : events) {
-    const std::uint32_t target = event.target;
-    const double magnitude = event.magnitude;
-    switch (event.kind) {
-      case ChaosEventKind::kNodeCrash:
-        actions.push_back({event.at, [eng, target](sim::SimTime) {
-                             eng->chaos_node_down(target, true);
-                           }});
-        break;
-      case ChaosEventKind::kNodeRestart:
-        actions.push_back({event.at, [eng, target](sim::SimTime) {
-                             eng->chaos_node_down(target, false);
-                           }});
-        break;
-      case ChaosEventKind::kDetectorForce:
-        actions.push_back({event.at, [eng, target](sim::SimTime) {
-                             eng->chaos_set_flap(target,
-                                                 ChaosFlapMode::kForceDown);
-                           }});
-        break;
-      case ChaosEventKind::kDetectorSuppress:
-        actions.push_back({event.at, [eng, target](sim::SimTime) {
-                             eng->chaos_set_flap(target,
-                                                 ChaosFlapMode::kSuppress);
-                           }});
-        break;
-      case ChaosEventKind::kDetectorClear:
-        actions.push_back({event.at, [eng, target](sim::SimTime) {
-                             eng->chaos_set_flap(target, ChaosFlapMode::kNone);
-                           }});
-        break;
-      case ChaosEventKind::kSlowNode:
-        actions.push_back({event.at, [eng, target, magnitude](sim::SimTime) {
-                             eng->chaos_set_service_scale(target, magnitude);
-                           }});
-        break;
-      case ChaosEventKind::kSlowNodeEnd:
-        actions.push_back({event.at, [eng, target](sim::SimTime) {
-                             eng->chaos_set_service_scale(target, 1.0);
-                           }});
-        break;
-      case ChaosEventKind::kPodAttackOn: {
-        core::AttackConfig attack;
-        attack.frequency_hz = config.pulse_frequency_hz;
-        attack.spl_air_db = config.pulse_spl_air_db;
-        attack.distance_m = magnitude;
-        attack.start = event.at;
-        attack.end = sim::SimTime::infinity();
-        actions.push_back({event.at, [clu, target, attack](sim::SimTime t) {
-                             clu->apply_attack(target, t, attack);
-                           }});
-        break;
-      }
-      case ChaosEventKind::kPodAttackOff:
-        actions.push_back({event.at, [clu, target](sim::SimTime t) {
-                             clu->stop_attack(target, t);
-                           }});
-        break;
+    if (is_pod_attack(event.kind)) {
+      actions.push_back(pod_attack_action(event, &cluster, config));
+    } else {
+      actions.push_back(
+          {event.at, [eng, event](sim::SimTime) { inject(*eng, event); }});
     }
+  }
+  return actions;
+}
+
+std::vector<TimelineAction> pod_attack_actions(
+    const std::vector<ChaosEvent>& events, Cluster& cluster,
+    const ChaosConfig& config) {
+  std::vector<TimelineAction> actions;
+  actions.reserve(events.size());
+  for (const ChaosEvent& event : events) {
+    if (!is_pod_attack(event.kind)) {
+      throw std::invalid_argument(
+          std::string("chaos: only pod attacks lower without an engine, got ") +
+          chaos_event_kind_name(event.kind));
+    }
+    actions.push_back(pod_attack_action(event, &cluster, config));
   }
   return actions;
 }

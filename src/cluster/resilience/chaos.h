@@ -13,6 +13,10 @@
 // engine's single-threaded epoch barriers via TimelineActions), replays
 // are byte-identical at any DEEPNOTE_JOBS.
 //
+// Every cluster attack is scripted chaos: a kPodAttackOn/Off pair per
+// pod (script_pod_attack). A scripted-only schedule ignores its seed, so
+// scripting an attack never perturbs any random stream.
+//
 // Each fault class draws from its own forked RNG stream, so enabling or
 // re-tuning one class never perturbs the event times of another.
 #pragma once
@@ -100,9 +104,16 @@ struct ChaosConfig {
   double pulse_spl_air_db = 140.0;
 
   /// Explicit extra events appended after generation (deterministic
-  /// scripted faults, e.g. the overload experiment's attack pulses).
+  /// scripted faults, e.g. every experiment's attack pulses).
   std::vector<ChaosEvent> scripted;
 };
+
+/// Script one acoustic attack: a kPodAttackOn/kPodAttackOff pair per pod
+/// over [on, off) at `distance_m`, at the config's pulse frequency and
+/// level.
+void script_pod_attack(ChaosConfig& config,
+                       const std::vector<std::size_t>& pods,
+                       double distance_m, sim::SimTime on, sim::SimTime off);
 
 /// Pure: (config, base_seed, index) -> schedule sorted by (at, kind,
 /// target). Replaying with the same inputs yields the identical vector.
@@ -117,5 +128,12 @@ std::vector<TimelineAction> chaos_actions(const std::vector<ChaosEvent>& events,
                                           ShardedClusterEngine& engine,
                                           Cluster& cluster,
                                           const ChaosConfig& config);
+
+/// Lower only the pod attacks of a schedule. They touch nothing but the
+/// Cluster, so this serves the serial Balancer + TrafficRunner reference,
+/// which has no engine; any other event kind throws std::invalid_argument.
+std::vector<TimelineAction> pod_attack_actions(
+    const std::vector<ChaosEvent>& events, Cluster& cluster,
+    const ChaosConfig& config);
 
 }  // namespace deepnote::cluster::resilience

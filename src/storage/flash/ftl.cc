@@ -115,6 +115,13 @@ bool Ftl::ensure_open_block(sim::SimTime& now) {
   while (!in_gc_ && free_count_ <= config_.gc_free_threshold) {
     if (!collect_garbage(now)) break;
   }
+  // Relocation may have opened a block of its own: keep filling it while
+  // it has room, so it is never stranded in the open state.
+  if (open_block_ != kUnmapped) {
+    if (open_next_ < pages_per_block()) return true;
+    state_[open_block_] = BlockState::kClosed;
+    open_block_ = kUnmapped;
+  }
   const std::uint32_t block = pick_free_block();
   if (block == kUnmapped) return false;
   state_[block] = BlockState::kOpen;

@@ -3,41 +3,18 @@
 // The tentpole contract: once the per-epoch arenas (request SoA, leg
 // slots, per-node op queues) are warm, a steady-state engine run
 // performs ZERO heap allocations — traffic generation, routing, wave
-// execution, and combine all recycle flat buffers. This binary
-// overrides the global allocator to count, so it must stay its own
-// test executable (mirrors tests/sim/event_alloc_test.cc).
+// execution, and combine all recycle flat buffers. This binary links
+// the counting allocator (support/alloc_counter.h), so it must stay its
+// own test executable.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "cluster/engine.h"
 #include "storage/mem_disk.h"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/alloc_counter.h"
 
 namespace deepnote::cluster {
 namespace {
@@ -74,9 +51,9 @@ TEST(EngineAllocTest, WarmEngineRunIsAllocationFree) {
 
   // Identical replay (same seed, same devices): zero allocations across
   // the full run — start_run's resets reuse capacity too.
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test_support::heap_allocations();
   const EngineReport measured = engine.run(sim::SimTime::zero(), slo);
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test_support::heap_allocations();
 
   EXPECT_EQ(measured.traffic.requests, warm.traffic.requests);
   EXPECT_EQ(after - before, 0u)

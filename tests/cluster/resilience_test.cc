@@ -13,6 +13,7 @@
 #include <set>
 #include <vector>
 
+#include "cluster/cell.h"
 #include "cluster/engine.h"
 #include "cluster/node.h"
 #include "cluster/resilience/breaker.h"
@@ -349,6 +350,51 @@ TEST(ChaosSchedule, ScriptedOnlyNeedsNoGenerationWindow) {
   EXPECT_EQ(events[0].kind, ChaosEventKind::kPodAttackOn);
 }
 
+// Every experiment scripts its attack as chaos, with its own seed: that
+// only leaves the random streams alone if a scripted-only schedule is the
+// same for any (base_seed, index).
+TEST(ChaosSchedule, ScriptedOnlyScheduleIgnoresSeed) {
+  ChaosConfig config;
+  script_pod_attack(config, {2, 0, 1}, 0.01, SimTime::from_seconds(1.0),
+                    SimTime::from_seconds(3.0));
+  config.scripted.push_back(
+      {SimTime::from_seconds(2.0), ChaosEventKind::kNodeCrash, 4, 0.0});
+  const auto reference = make_chaos_schedule(config, 0, 0);
+  ASSERT_EQ(reference.size(), 7u);
+  for (const std::uint64_t seed : {1ull, 0x10adull, ~0ull}) {
+    for (const std::uint64_t index : {0ull, 2ull, 7ull}) {
+      const auto events = make_chaos_schedule(config, seed, index);
+      ASSERT_EQ(events.size(), reference.size());
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        EXPECT_EQ(events[i].at.ns(), reference[i].at.ns());
+        EXPECT_EQ(events[i].kind, reference[i].kind);
+        EXPECT_EQ(events[i].target, reference[i].target);
+        EXPECT_EQ(events[i].magnitude, reference[i].magnitude);
+      }
+    }
+  }
+}
+
+// The serial reference composition has no engine: it lowers pod attacks
+// only, and refuses anything that would silently go missing.
+TEST(ChaosSchedule, PodAttackActionsRefuseEngineFaults) {
+  ClusterConfig cluster_config;
+  cluster_config.topology = ClusterTopology{.pods = 2, .bays_per_pod = 1};
+  Cluster cluster(cluster_config);
+  ChaosConfig config;
+  script_pod_attack(config, {0, 1}, 0.01, SimTime::from_seconds(1.0),
+                    SimTime::from_seconds(2.0));
+  EXPECT_EQ(pod_attack_actions(make_chaos_schedule(config, 0, 0), cluster,
+                               config)
+                .size(),
+            4u);
+  config.scripted.push_back(
+      {SimTime::from_seconds(1.5), ChaosEventKind::kSlowNode, 0, 2.0});
+  EXPECT_THROW(pod_attack_actions(make_chaos_schedule(config, 0, 0), cluster,
+                                  config),
+               std::invalid_argument);
+}
+
 TEST(ChaosSchedule, ValidatesGeneratedClasses) {
   ChaosConfig config;
   config.crashes = 1;  // generated faults but no nodes / empty window
@@ -391,20 +437,17 @@ EngineConfig chaos_engine_config() {
 ChaosRunResult run_chaos_cell(EngineConfig config, const ChaosConfig& chaos,
                               std::uint64_t chaos_seed, unsigned jobs,
                               std::size_t min_ops_to_shard = 2048) {
-  ClusterConfig cluster_config;
-  cluster_config.topology = ClusterTopology{.pods = 3, .bays_per_pod = 5};
-  cluster_config.seed = 0x5eed;
-  Cluster cluster(cluster_config);
-
-  config.jobs = jobs;
-  config.min_ops_to_shard = min_ops_to_shard;
-  ShardedClusterEngine engine(cluster.topology(), cluster.device_pointers(),
-                              config);
-
-  const auto schedule = make_chaos_schedule(chaos, chaos_seed, 0);
-  SloTracker slo(sim::SimTime::zero());
-  const EngineReport report = engine.run(
-      sim::SimTime::zero(), slo, chaos_actions(schedule, engine, cluster, chaos));
+  CellSpec spec;
+  spec.cluster.topology = ClusterTopology{.pods = 3, .bays_per_pod = 5};
+  spec.cluster.seed = 0x5eed;
+  spec.engine = std::move(config);
+  spec.engine.jobs = jobs;
+  spec.engine.min_ops_to_shard = min_ops_to_shard;
+  spec.chaos = chaos;
+  spec.chaos_seed = chaos_seed;
+  Cell cell(std::move(spec));
+  const EngineReport report = cell.run();
+  const SloTracker& slo = cell.slo();
 
   ChaosRunResult result;
   result.requests = report.traffic.requests;

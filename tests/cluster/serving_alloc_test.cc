@@ -6,41 +6,18 @@
 // one (engine_alloc_test.cc): once a first run has warmed every arena —
 // context pools, event slabs, the FIFO rings, histogram buckets, the
 // depth timeline — a steady-state serving run performs ZERO heap
-// allocations. This binary overrides the global allocator to count, so
-// it must stay its own test executable.
+// allocations. This binary links the counting allocator
+// (support/alloc_counter.h), so it must stay its own test executable.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "cluster/engine.h"
 #include "cluster/serving/node_server.h"
 #include "storage/mem_disk.h"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/alloc_counter.h"
 
 namespace deepnote::cluster {
 namespace {
@@ -80,9 +57,9 @@ TEST(ServingAllocTest, WarmServingRunIsAllocationFree) {
 
   // Identical replay (same seed, same devices): zero allocations across
   // the full run — start_run's serving resets reuse capacity too.
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test_support::heap_allocations();
   const EngineReport measured = engine.run(sim::SimTime::zero(), slo);
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test_support::heap_allocations();
 
   EXPECT_EQ(measured.traffic.requests, warm.traffic.requests);
   EXPECT_EQ(after - before, 0u)
@@ -122,9 +99,9 @@ TEST(ServingAllocTest, WarmShardedServingRunIsAllocationFree) {
   const EngineReport warm = engine.run(sim::SimTime::zero(), slo);
   ASSERT_GT(warm.serving.legs_served, 0u);
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test_support::heap_allocations();
   const EngineReport measured = engine.run(sim::SimTime::zero(), slo);
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test_support::heap_allocations();
 
   EXPECT_EQ(measured.traffic.requests, warm.traffic.requests);
   EXPECT_EQ(after - before, 0u)
@@ -146,7 +123,7 @@ TEST(ServingAllocTest, ReservedNodeServerFirstRunIsAllocationFree) {
   server.reserve(/*slots=*/8, /*ring=*/16);
 
   std::vector<std::byte> buf(storage::kBlockSectorSize);
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test_support::heap_allocations();
   for (int batch = 0; batch < 4; ++batch) {
     const std::int64_t base_us = 1000 * (batch + 1);
     for (int i = 0; i < 8; ++i) {  // 8 arrivals vs queue_limit 4: sheds too
@@ -159,7 +136,7 @@ TEST(ServingAllocTest, ReservedNodeServerFirstRunIsAllocationFree) {
     server.drain();
     server.clear_completions();
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test_support::heap_allocations();
 
   const auto& stats = server.stats();
   EXPECT_EQ(stats.submitted, 32u);

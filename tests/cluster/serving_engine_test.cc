@@ -11,8 +11,8 @@
 #include <optional>
 #include <vector>
 
+#include "cluster/cell.h"
 #include "cluster/experiment.h"
-#include "core/attack.h"
 
 namespace deepnote::cluster {
 namespace {
@@ -49,36 +49,20 @@ EngineConfig serving_engine_config() {
 /// min_ops_to_shard = 0 forces every wave through the TaskPool.
 ServingRunResult run_attacked_serving_cell(EngineConfig config, unsigned jobs,
                                            std::size_t min_ops_to_shard) {
-  ClusterConfig cluster_config;
-  cluster_config.topology = ClusterTopology{.pods = 3, .bays_per_pod = 5};
-  cluster_config.seed = 0x5eed;
-  Cluster cluster(cluster_config);
-
-  config.jobs = jobs;
-  config.min_ops_to_shard = min_ops_to_shard;
-  ShardedClusterEngine engine(cluster.topology(), cluster.device_pointers(),
-                              config);
-
-  const sim::SimTime attack_on = sim::SimTime::from_seconds(0.4);
-  const sim::SimTime attack_off = sim::SimTime::from_seconds(1.6);
-  core::AttackConfig attack;
-  attack.frequency_hz = 650.0;
-  attack.spl_air_db = 140.0;
-  attack.distance_m = 0.01;
-  attack.start = attack_on;
-  attack.end = attack_off;
-  std::vector<TimelineAction> actions;
-  actions.push_back({attack_on, [&cluster, attack](sim::SimTime t) {
-                       cluster.apply_attack(0, t, attack);
-                     }});
-  actions.push_back({attack_off, [&cluster](sim::SimTime t) {
-                       cluster.stop_attack(0, t);
-                     }});
-
-  SloTracker slo(sim::SimTime::zero());
-  slo.set_focus(attack_on, attack_off);
-  const EngineReport report =
-      engine.run(sim::SimTime::zero(), slo, std::move(actions));
+  CellSpec spec;
+  spec.cluster.topology = ClusterTopology{.pods = 3, .bays_per_pod = 5};
+  spec.cluster.seed = 0x5eed;
+  spec.engine = std::move(config);
+  spec.engine.jobs = jobs;
+  spec.engine.min_ops_to_shard = min_ops_to_shard;
+  spec.focus_begin = sim::SimTime::from_seconds(0.4);
+  spec.focus_end = sim::SimTime::from_seconds(1.6);
+  resilience::script_pod_attack(spec.chaos, {0}, 0.01, spec.focus_begin,
+                                spec.focus_end);
+  Cell cell(std::move(spec));
+  const EngineReport report = cell.run();
+  const SloTracker& slo = cell.slo();
+  const ShardedClusterEngine& engine = cell.engine();
 
   ServingRunResult result;
   result.requests = report.traffic.requests;

@@ -92,7 +92,9 @@ TEST_P(ZoneBoundaryTest, ZoneIndexMatchesLocate) {
            g.zones()[i].sectors_per_track;
   }
   EXPECT_EQ(g.locate(lba).zone, zi);
-  if (lba > 0) EXPECT_EQ(g.locate(lba - 1).zone, zi - 1);
+  if (lba > 0) {
+    EXPECT_EQ(g.locate(lba - 1).zone, zi - 1);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Zones, ZoneBoundaryTest,

@@ -2,38 +2,16 @@
 //
 // The PR3 contract: once the queue's slab and heap vectors are warm, a
 // steady-state simulation loop whose event captures fit EventFn's inline
-// buffer performs ZERO heap allocations. This binary overrides the
-// global allocator to count, so it must stay its own test executable.
+// buffer performs ZERO heap allocations. This binary links the
+// counting allocator (support/alloc_counter.h), so it must stay its own
+// test executable.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <new>
 
 #include "sim/event_queue.h"
 #include "sim/simulator.h"
-
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+#include "support/alloc_counter.h"
 
 namespace deepnote::sim {
 namespace {
@@ -61,9 +39,9 @@ TEST(EventAllocTest, WarmSteadyStateLoopIsAllocationFree) {
   const std::uint64_t warm_count = ctx.count;
   ASSERT_GT(warm_count, 100u);
 
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test_support::heap_allocations();
   sim.run_until(SimTime::from_seconds(0.02));
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test_support::heap_allocations();
   EXPECT_GT(ctx.count, warm_count + 100);
   EXPECT_EQ(after - before, 0u)
       << "steady-state event loop allocated on the hot path";
@@ -84,7 +62,7 @@ TEST(EventAllocTest, WarmScheduleCancelLoopIsAllocationFree) {
       q.schedule(SimTime(++t), [&sink] { ++sink; });
     }
   }
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test_support::heap_allocations();
   for (int i = 0; i < 10000; ++i) {
     auto f = q.pop();
     f.fn();
@@ -94,7 +72,7 @@ TEST(EventAllocTest, WarmScheduleCancelLoopIsAllocationFree) {
       q.schedule(SimTime(++t), [&sink] { ++sink; });
     }
   }
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test_support::heap_allocations();
   EXPECT_EQ(after - before, 0u);
   EXPECT_GT(sink, 0u);
 }
@@ -109,12 +87,12 @@ TEST(EventAllocTest, OversizedCaptureAllocatesExactlyOncePerEvent) {
   // the measured allocations are purely the per-event heap spills.
   for (int i = 0; i < kEvents; ++i) q.schedule(SimTime(i), [big] { (void)big; });
   while (!q.empty()) q.pop();
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = test_support::heap_allocations();
   for (int i = 0; i < kEvents; ++i) {
     q.schedule(SimTime(i), [big] { (void)big; });
   }
   while (!q.empty()) q.pop().fn();
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = test_support::heap_allocations();
   EXPECT_EQ(after - before, static_cast<std::uint64_t>(kEvents));
 }
 

@@ -11,14 +11,12 @@
 #include "sim/timer_wheel.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "sim/rng.h"
 #include "sim/time.h"
+#include "support/alloc_counter.h"
 
 namespace {
 
@@ -26,29 +24,7 @@ using deepnote::sim::Duration;
 using deepnote::sim::Rng;
 using deepnote::sim::SimTime;
 using deepnote::sim::TimerWheel;
-
-std::atomic<std::uint64_t> g_allocs{0};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc();
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-
-namespace {
+using deepnote::test_support::heap_allocations;
 
 SimTime ns(std::int64_t v) { return SimTime{v}; }
 
@@ -212,12 +188,12 @@ TEST(TimerWheelTest, ResetRewindsAndReusesTheSlab) {
   // Warm replay: same load, no new slab growth, no heap allocation.
   std::vector<TimerWheel::Expired> out;
   out.reserve(128);
-  const std::uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t before = heap_allocations();
   for (int i = 0; i < 100; ++i) {
     wheel.schedule(ns(1000 + i), static_cast<std::uint64_t>(i));
   }
   wheel.advance(ns(10'000), out);
-  const std::uint64_t after = g_allocs.load(std::memory_order_relaxed);
+  const std::uint64_t after = heap_allocations();
   EXPECT_EQ(after - before, 0u) << "warm wheel must not allocate";
   EXPECT_EQ(wheel.slab_slots(), slots);
   ASSERT_EQ(out.size(), 100u);

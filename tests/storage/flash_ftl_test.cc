@@ -5,8 +5,11 @@
 #include "storage/flash/ftl.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <vector>
+
+#include "sim/rng.h"
 
 namespace deepnote::storage {
 namespace {
@@ -154,6 +157,42 @@ TEST(FtlTest, GcRelocatesLivePagesWithoutCorruptingHostWrites) {
     ASSERT_TRUE(ftl.read(SimTime::zero(), (24 + p) * 2, 2, out).ok());
     EXPECT_EQ(out, pattern(2, seed)) << "cold page " << 24 + p;
   }
+}
+
+// Regression: a GC pass started from the host path relocates pages into
+// a block that GC itself opened, and the host path then picked another
+// free block, stranding GC's block in the open state for good. Each
+// stranded block shrinks the usable pool until GC relocates full blocks
+// forever and write() never returns. Random single-page overwrites hit
+// that path within a few hundred writes; the alarm turns the hang into
+// a failure instead of stalling the suite.
+TEST(FtlTest, RandomOverwritesNeverStrandGcOpenedBlocks) {
+  alarm(60);
+  for (const std::uint32_t span : {8u, 24u, 48u}) {
+    FlashDevice flash(small_config());
+    Ftl ftl(flash, small_ftl());
+    sim::Rng rng(span);
+    std::vector<std::uint8_t> latest(span, 0);
+    for (int i = 1; i <= 5000; ++i) {
+      const auto page =
+          static_cast<std::uint32_t>(rng.uniform_int(0, span - 1));
+      latest[page] = static_cast<std::uint8_t>(1 + i % 255);  // 0: unwritten
+      ASSERT_TRUE(
+          ftl.write(SimTime::zero(), page * 2, 2, pattern(2, latest[page]))
+              .ok())
+          << "span " << span << " write " << i;
+    }
+    std::vector<std::byte> out(2 * kBlockSectorSize);
+    for (std::uint32_t page = 0; page < span; ++page) {
+      if (latest[page] == 0) continue;  // never written
+      ASSERT_TRUE(ftl.read(SimTime::zero(), page * 2, 2, out).ok());
+      EXPECT_EQ(out, pattern(2, latest[page]))
+          << "span " << span << " page " << page;
+    }
+    EXPECT_GE(ftl.free_blocks(), 1u);
+    EXPECT_EQ(flash.stats().discipline_errors, 0u);
+  }
+  alarm(0);
 }
 
 TEST(FtlTest, TrimUnmapsFullyCoveredPages) {

@@ -42,7 +42,9 @@ TEST(SkipListTest, OrderedTraversal) {
   std::string prev;
   bool first = true;
   list.for_each([&](std::string_view k, const int&) {
-    if (!first) EXPECT_GE(k, prev);
+    if (!first) {
+      EXPECT_GE(k, prev);
+    }
     prev = std::string(k);
     first = false;
   });
@@ -385,7 +387,9 @@ TEST(DbTest, RandomizedAgainstStdMap) {
     const std::string value = fx.get(key, &found);
     const auto it = model.find(key);
     ASSERT_EQ(found, it != model.end()) << key;
-    if (found) EXPECT_EQ(value, it->second) << key;
+    if (found) {
+      EXPECT_EQ(value, it->second) << key;
+    }
   }
 }
 

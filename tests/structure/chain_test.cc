@@ -14,14 +14,16 @@ StructuralChain simple_chain() {
   enc.mass_law_reference_db = 20.0;
   MountSpec mount;
   mount.broadband_coupling_db = -2.0;
-  mount.modes.push_back(Mode{.f0_hz = 680.0, .q = 4.0, .peak_gain_db = 10.0});
+  mount.modes.push_back(Mode{.f0_hz = 680.0, .q = 4.0,
+                             .peak_gain_db = 10.0, .label = {}});
   return StructuralChain(Enclosure(enc), Mount(mount));
 }
 
 TEST(MountTest, BroadbandCouplingOffResonance) {
   MountSpec spec;
   spec.broadband_coupling_db = -2.0;
-  spec.modes.push_back(Mode{.f0_hz = 680.0, .q = 4.0, .peak_gain_db = 10.0});
+  spec.modes.push_back(Mode{.f0_hz = 680.0, .q = 4.0,
+                            .peak_gain_db = 10.0, .label = {}});
   Mount mount(spec);
   // At resonance: broadband + modal peak.
   EXPECT_NEAR(mount.coupling_db(680.0), 8.0, 0.2);

@@ -44,7 +44,7 @@ TEST(EnclosureTest, PanelModePunchesHole) {
   EnclosureSpec spec = bare(WallMaterial::aluminum());
   Enclosure without(spec);
   spec.panel_modes.push_back(
-      Mode{.f0_hz = 800.0, .q = 6.0, .peak_gain_db = 15.0});
+      Mode{.f0_hz = 800.0, .q = 6.0, .peak_gain_db = 15.0, .label = {}});
   Enclosure with(spec);
   // At the mode, the wall leaks ~15 dB more than the bare mass law.
   EXPECT_NEAR(without.transmission_loss_db(800.0) -

@@ -3,6 +3,8 @@
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "acoustics/absorption.h"
@@ -27,6 +29,7 @@
 #include "storage/fault_workloads.h"
 #include "storage/kvdb/db.h"
 #include "storage/kvdb/memtable.h"
+#include "storage/kvdb/sstable.h"
 #include "storage/mem_disk.h"
 #include "workload/db_bench.h"
 
@@ -426,6 +429,73 @@ static void BM_MemTableGet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MemTableGet);
+
+// The paper_kvdb read shape: 16-byte keys, 64-byte values, random order.
+static std::string bench_kv_key(std::uint64_t i) {
+  char key[17];
+  std::snprintf(key, sizeof(key), "%016llu",
+                static_cast<unsigned long long>(i));
+  return key;
+}
+
+// Pre-generated random lookups over a keyspace in which every third key
+// is absent from the store (~1/3 misses).
+static std::vector<std::string> bench_kv_lookups(std::uint64_t keyspace) {
+  sim::Rng rng(11);
+  std::vector<std::string> keys(1 << 16);
+  for (auto& k : keys) k = bench_kv_key(rng.next_u64() % keyspace);
+  return keys;
+}
+
+static void BM_MemTableGetRandom(benchmark::State& state) {
+  constexpr std::uint64_t kKeyspace = 195000;  // 130k stored, 65k absent
+  storage::kvdb::MemTable mt;
+  std::vector<std::uint64_t> order;
+  for (std::uint64_t i = 0; i < kKeyspace; ++i) {
+    if (i % 3 != 2) order.push_back(i);
+  }
+  sim::Rng rng(7);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng.next_u64() % i]);
+  }
+  const std::string value(64, 'v');
+  std::uint64_t seq = 0;
+  for (const std::uint64_t i : order) mt.put(bench_kv_key(i), value, ++seq);
+  const std::vector<std::string> keys = bench_kv_lookups(kKeyspace);
+  std::string v;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mt.get(keys[i++ & (keys.size() - 1)], &v));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MemTableGetRandom);
+
+static void BM_SstReaderGet(benchmark::State& state) {
+  constexpr std::uint64_t kKeyspace = 60000;  // 40k stored, 20k absent
+  storage::MemDisk disk((256ull << 20) / 512);
+  sim::SimTime t = sim::SimTime::zero();
+  storage::ExtFs::mkfs(disk, t);
+  auto mount = storage::ExtFs::mount(disk, t);
+  t = mount.done;
+  storage::kvdb::SstBuilder builder(kKeyspace);
+  storage::kvdb::MemEntry e;
+  e.sequence = 1;
+  e.value.assign(64, 'v');
+  for (std::uint64_t i = 0; i < kKeyspace; ++i) {
+    if (i % 3 != 2) builder.add(bench_kv_key(i), e);
+  }
+  builder.write_to(*mount.fs, t, "/bench.sst");
+  auto open = storage::kvdb::SstReader::open(*mount.fs, t, "/bench.sst");
+  const std::vector<std::string> keys = bench_kv_lookups(kKeyspace);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        open.reader->get(t, keys[i++ & (keys.size() - 1)]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SstReaderGet);
 
 static void BM_ExtFsBufferedWrite4k(benchmark::State& state) {
   storage::MemDisk disk((1ull << 30) / 512);

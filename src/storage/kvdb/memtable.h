@@ -2,13 +2,16 @@
 //
 // Entries are keyed by (user_key, inverted sequence) so that a lookup
 // finds the *newest* entry for a user key first — the RocksDB internal-key
-// trick.
+// trick. The skiplist is the only ordered structure (iteration, cursors,
+// flush); point lookups go through a hash index beside it that maps each
+// user key to the skiplist node of its newest entry.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "storage/kvdb/skiplist.h"
 
@@ -48,9 +51,11 @@ class MemTable {
            std::uint64_t sequence);
   void del(std::string_view key, std::uint64_t sequence);
 
+  /// The newest entry for `key`: one hash probe, no skiplist walk.
   LookupState get(std::string_view key, std::string* value_out) const;
 
-  /// Approximate memory footprint (keys + values + node overhead).
+  /// Approximate memory footprint (keys + values + node overhead). The
+  /// point index is not counted: this value alone decides when to flush.
   std::uint64_t approximate_bytes() const { return bytes_; }
   std::size_t entry_count() const { return list_.size(); }
   bool empty() const { return list_.empty(); }
@@ -98,7 +103,19 @@ class MemTable {
   std::string_view build_key(std::string_view user_key,
                              std::uint64_t sequence) const;
 
-  SkipList<MemEntry, InternalKeyLess> list_;
+  using List = SkipList<MemEntry, InternalKeyLess>;
+
+  /// Inserts into the skiplist and points the index slot of `key` at the
+  /// new node unless the slot holds a newer entry.
+  void add(std::string_view key, std::uint64_t sequence, MemEntry entry);
+  void grow_index();
+
+  List list_;
+  // Open-addressing point index: power-of-two capacity, linear probing,
+  // load <= 1/2, hashed on user-key bytes only. An invalid cursor is an
+  // empty slot; nothing is ever erased (the memtable only grows).
+  std::vector<List::Cursor> index_;
+  std::size_t index_used_ = 0;
   std::uint64_t bytes_ = 0;
   mutable std::string key_scratch_;  // reused by build_key (const lookups too)
 };

@@ -2,12 +2,15 @@
 //
 // Keys are byte strings ordered lexicographically; values are opaque.
 // Duplicate keys are allowed (callers append a sequence suffix); insert
-// places equal keys adjacent in insertion order.
+// places a key before any equal keys already stored, so a seek finds the
+// most recent insert of a key first.
 //
-// Nodes live in a bump arena: one allocation holds the node, its next
-// pointers, and a copy of the key bytes. Nothing is freed individually —
-// the memtable drops the whole list at flush — so insert does zero
-// per-node heap allocations beyond the amortised arena block.
+// Nodes live in a bump arena, one record per node: an 8-byte header, the
+// node's next links, the key bytes, then the Value. A seek visits only
+// the header, one link and the key — adjacent bytes, usually one cache
+// line — and never the Value. Nothing is freed individually — the
+// memtable drops the whole list at flush — so insert does zero per-node
+// heap allocations beyond the amortised arena block.
 #pragma once
 
 #include <array>
@@ -15,6 +18,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <new>
 #include <string_view>
 #include <vector>
 
@@ -38,23 +42,40 @@ class SkipList {
   SkipList& operator=(const SkipList&) = delete;
 
   ~SkipList() {
-    // Arena blocks free the storage; only the non-trivial members (Value,
-    // and nothing else) need their destructors run, via the level-0 chain.
+    // Arena blocks free the storage; only the Values need their
+    // destructors run, via the level-0 chain.
     Node* x = head_;
     while (x != nullptr) {
-      Node* next = x->next[0];
-      x->~Node();
+      Node* next = x->next(0);
+      x->value().~Value();
       x = next;
     }
   }
 
-  void insert(std::string_view key, Value value) {
+  /// Forward cursor over the list (O(log n) seek, O(1) next). A cursor
+  /// stays valid as long as the list: nodes never move.
+  class Cursor {
+   public:
+    Cursor() = default;
+    bool valid() const { return node_ != nullptr; }
+    std::string_view key() const { return node_->key(); }
+    const Value& value() const { return node_->value(); }
+    void next() { node_ = node_->next(0); }
+
+   private:
+    friend class SkipList;
+    explicit Cursor(const Node* node) : node_(node) {}
+    const Node* node_ = nullptr;
+  };
+
+  /// Inserts and returns a cursor at the new node.
+  Cursor insert(std::string_view key, Value value) {
     std::array<Node*, kMaxHeight> prev;
     if (tail_ != nullptr && less_(tail_->key(), key)) {
       // Append fast path: the key is strictly greater than every stored
       // key, so the predecessor at each level is the rightmost node there
-      // — no walk needed. Equal keys never take this branch, preserving
-      // insertion-order adjacency of duplicates.
+      // — no walk needed. Equal keys never take this branch, so a
+      // duplicate still lands before the keys equal to it.
       prev = rightmost_;
     } else {
       Node* x = find_greater_or_equal(key, &prev);
@@ -65,22 +86,13 @@ class SkipList {
     if (height > height_) height_ = height;
     Node* raw = make_node(key, std::move(value), height);
     for (int i = 0; i < height; ++i) {
-      raw->next[i] = prev[i]->next[i];
-      prev[i]->next[i] = raw;
-      if (raw->next[i] == nullptr) rightmost_[i] = raw;
+      raw->link(i) = prev[i]->next(i);
+      prev[i]->link(i) = raw;
+      if (raw->next(i) == nullptr) rightmost_[i] = raw;
     }
-    if (raw->next[0] == nullptr) tail_ = raw;
+    if (raw->next(0) == nullptr) tail_ = raw;
     ++size_;
-  }
-
-  /// First node with node.key >= key, nullptr if none.
-  const Value* find_first_at_least(std::string_view key,
-                                   std::string_view* found_key = nullptr)
-      const {
-    Node* x = find_greater_or_equal(key, nullptr);
-    if (!x) return nullptr;
-    if (found_key) *found_key = x->key();
-    return &x->value;
+    return Cursor{raw};
   }
 
   std::size_t size() const { return size_; }
@@ -89,8 +101,8 @@ class SkipList {
   /// In-order traversal.
   void for_each(const std::function<void(std::string_view, const Value&)>&
                     fn) const {
-    for (Node* x = head_->next[0]; x != nullptr; x = x->next[0]) {
-      fn(x->key(), x->value);
+    for (Node* x = head_->next(0); x != nullptr; x = x->next(0)) {
+      fn(x->key(), x->value());
     }
   }
 
@@ -101,25 +113,10 @@ class SkipList {
       const std::function<bool(std::string_view, const Value&)>& fn)
       const {
     for (Node* x = find_greater_or_equal(from, nullptr); x != nullptr;
-         x = x->next[0]) {
-      if (!fn(x->key(), x->value)) return;
+         x = x->next(0)) {
+      if (!fn(x->key(), x->value())) return;
     }
   }
-
-  /// Forward cursor over the list (O(log n) seek, O(1) next).
-  class Cursor {
-   public:
-    Cursor() = default;
-    bool valid() const { return node_ != nullptr; }
-    std::string_view key() const { return node_->key(); }
-    const Value& value() const { return node_->value; }
-    void next() { node_ = node_->next[0]; }
-
-   private:
-    friend class SkipList;
-    explicit Cursor(const Node* node) : node_(node) {}
-    const Node* node_ = nullptr;
-  };
 
   /// Cursor at the first key >= `from` (invalid when past the end).
   Cursor cursor_at(std::string_view from) const {
@@ -129,13 +126,37 @@ class SkipList {
  private:
   static constexpr int kMaxHeight = 12;
 
+  // Arena record: this header, `height` next links, `key_len` key bytes,
+  // then the Value at the next alignof(Value) boundary.
   struct Node {
-    Value value;
-    Node** next = nullptr;        // `height` pointers, in the same arena block
-    const char* key_data = nullptr;
     std::uint32_t key_len = 0;
-    std::string_view key() const { return {key_data, key_len}; }
+    std::uint32_t height = 0;
+
+    Node*& link(int level) {
+      return reinterpret_cast<Node**>(this + 1)[level];
+    }
+    Node* next(int level) const {
+      return reinterpret_cast<Node* const*>(this + 1)[level];
+    }
+    const char* key_data() const {
+      return reinterpret_cast<const char*>(this + 1) +
+             sizeof(Node*) * height;
+    }
+    std::string_view key() const { return {key_data(), key_len}; }
+    Value& value() {
+      return *std::launder(reinterpret_cast<Value*>(
+          reinterpret_cast<char*>(this) + value_offset(height, key_len)));
+    }
+    const Value& value() const { return const_cast<Node*>(this)->value(); }
   };
+  static_assert(sizeof(Node) == 8);
+  static_assert(alignof(Value) <= 8, "arena records are 8-byte aligned");
+
+  static std::size_t value_offset(std::uint32_t height,
+                                  std::uint32_t key_len) {
+    const std::size_t end = sizeof(Node) + sizeof(Node*) * height + key_len;
+    return (end + alignof(Value) - 1) & ~(alignof(Value) - 1);
+  }
 
   static constexpr std::size_t kArenaBlock = std::size_t{1} << 16;
 
@@ -154,18 +175,18 @@ class SkipList {
   }
 
   Node* make_node(std::string_view key, Value value, int height) {
-    const std::size_t node_sz = (sizeof(Node) + 7) & ~std::size_t{7};
-    const std::size_t ptr_sz =
-        sizeof(Node*) * static_cast<std::size_t>(height);
-    char* mem = arena_alloc(node_sz + ptr_sz + key.size());
-    Node* n = new (mem) Node;
-    n->value = std::move(value);
-    n->next = reinterpret_cast<Node**>(mem + node_sz);
-    std::fill(n->next, n->next + height, nullptr);
-    char* kd = mem + node_sz + ptr_sz;
-    if (!key.empty()) std::memcpy(kd, key.data(), key.size());
-    n->key_data = kd;
-    n->key_len = static_cast<std::uint32_t>(key.size());
+    const auto h = static_cast<std::uint32_t>(height);
+    const auto klen = static_cast<std::uint32_t>(key.size());
+    const std::size_t voff = value_offset(h, klen);
+    char* mem = arena_alloc(voff + sizeof(Value));
+    Node* n = new (mem) Node{klen, h};
+    std::uninitialized_fill_n(reinterpret_cast<Node**>(n + 1), height,
+                              nullptr);
+    if (!key.empty()) {
+      std::memcpy(mem + sizeof(Node) + sizeof(Node*) * h, key.data(),
+                  key.size());
+    }
+    new (mem + voff) Value(std::move(value));
     return n;
   }
 
@@ -180,7 +201,7 @@ class SkipList {
     Node* x = head_;
     int level = height_ - 1;
     while (true) {
-      Node* next = x->next[static_cast<std::size_t>(level)];
+      Node* next = x->next(level);
       if (next != nullptr && less_(next->key(), key)) {
         x = next;
       } else {

@@ -25,14 +25,19 @@ void put_bytes(std::vector<std::byte>& out, std::string_view s) {
   out.insert(out.end(), p, p + s.size());
 }
 
+// Bounds checks compare a length with the bytes left (end - p): forming
+// p + len for a corrupt length would point past the buffer, which is
+// undefined even if never dereferenced.
 struct ByteCursor {
   const std::byte* p;
   const std::byte* end;
   bool ok = true;
 
+  std::size_t left() const { return static_cast<std::size_t>(end - p); }
+
   template <typename T>
   T get() {
-    if (p + sizeof(T) > end) {
+    if (left() < sizeof(T)) {
       ok = false;
       return T{};
     }
@@ -41,14 +46,18 @@ struct ByteCursor {
     p += sizeof(T);
     return v;
   }
-  std::string get_string(std::size_t len) {
-    if (p + len > end) {
+  /// A view into the buffer; valid while the buffer is.
+  std::string_view get_view(std::size_t len) {
+    if (left() < len) {
       ok = false;
       return {};
     }
-    std::string s(reinterpret_cast<const char*>(p), len);
+    const std::string_view s(reinterpret_cast<const char*>(p), len);
     p += len;
     return s;
+  }
+  std::string get_string(std::size_t len) {
+    return std::string(get_view(len));
   }
 };
 
@@ -297,22 +306,23 @@ SstGetResult SstReader::get(sim::SimTime now, std::string_view user_key) {
       [](const IndexEntry& e, std::string_view k) { return e.last_key < k; });
   if (it == index_.end()) return r;
 
-  std::vector<std::byte> block(it->size);
-  FsIoResult io = fs_.read(now, inode_, it->offset, block);
+  // Decode in place: keys and values are views into the reused block
+  // buffer, and only a matching value is copied out.
+  block_.resize(it->size);
+  FsIoResult io = fs_.read(now, inode_, it->offset, block_);
   r.done = io.done;
   if (!io.ok() || io.bytes != it->size) {
     r.err = io.ok() ? Errno::kEINVAL : io.err;
     return r;
   }
-  ByteCursor c{block.data(), block.data() + block.size()};
+  ByteCursor c{block_.data(), block_.data() + block_.size()};
   while (c.ok && c.p < c.end) {
     const std::uint16_t klen = c.get<std::uint16_t>();
     const std::uint32_t vlen = c.get<std::uint32_t>();
-    const std::uint64_t seq = c.get<std::uint64_t>();
+    c.get<std::uint64_t>();  // sequence
     const auto type = static_cast<EntryType>(c.get<std::uint8_t>());
-    const std::string key = c.get_string(klen);
-    const std::string value = c.get_string(vlen);
-    (void)seq;
+    const std::string_view key = c.get_view(klen);
+    const std::string_view value = c.get_view(vlen);
     if (!c.ok) break;
     if (key == user_key) {
       // Entries for a user key are newest-first: the first hit wins.
@@ -320,7 +330,7 @@ SstGetResult SstReader::get(sim::SimTime now, std::string_view user_key) {
         r.state = LookupState::kDeleted;
       } else {
         r.state = LookupState::kFound;
-        r.value = value;
+        r.value.assign(value);
       }
       return r;
     }
@@ -347,8 +357,8 @@ FsResult SstReader::scan(
       MemEntry e;
       e.sequence = c.get<std::uint64_t>();
       e.type = static_cast<EntryType>(c.get<std::uint8_t>());
-      const std::string key = c.get_string(klen);
-      e.value = c.get_string(vlen);
+      const std::string_view key = c.get_view(klen);
+      e.value.assign(c.get_view(vlen));
       if (!c.ok) return FsResult{Errno::kEINVAL, t};
       fn(key, e);
     }
@@ -379,8 +389,8 @@ FsResult SstReader::scan_from(
       MemEntry e;
       e.sequence = c.get<std::uint64_t>();
       e.type = static_cast<EntryType>(c.get<std::uint8_t>());
-      const std::string key = c.get_string(klen);
-      e.value = c.get_string(vlen);
+      const std::string_view key = c.get_view(klen);
+      e.value.assign(c.get_view(vlen));
       if (!c.ok) return FsResult{Errno::kEINVAL, t};
       if (key < start) continue;
       if (!fn(key, e)) return FsResult{Errno::kOk, t};
@@ -401,8 +411,8 @@ static void Cursor_decode(
     MemEntry e;
     e.sequence = c.get<std::uint64_t>();
     e.type = static_cast<EntryType>(c.get<std::uint8_t>());
-    const std::string key = c.get_string(klen);
-    e.value = c.get_string(vlen);
+    const std::string_view key = c.get_view(klen);
+    e.value.assign(c.get_view(vlen));
     if (!c.ok) return;
     out.emplace_back(MemTable::internal_key(key, e.sequence), std::move(e));
   }

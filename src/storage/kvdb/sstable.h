@@ -155,6 +155,7 @@ class SstReader {
   std::string largest_;
   std::uint64_t entry_count_ = 0;
   std::uint64_t max_sequence_ = 0;
+  std::vector<std::byte> block_;  // get()'s data block, reused across calls
 };
 
 }  // namespace deepnote::storage::kvdb

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "sim/rng.h"
 #include "storage/kvdb/memtable.h"
@@ -23,14 +25,13 @@ TEST(SkipListTest, InsertAndFind) {
   list.insert("banana", 2);
   list.insert("apple", 1);
   list.insert("cherry", 3);
-  std::string_view key;
-  const int* v = list.find_first_at_least("apple", &key);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(*v, 1);
-  v = list.find_first_at_least("b", &key);
-  ASSERT_NE(v, nullptr);
-  EXPECT_EQ(key, "banana");
-  EXPECT_EQ(list.find_first_at_least("zebra"), nullptr);
+  auto c = list.cursor_at("apple");
+  ASSERT_TRUE(c.valid());
+  EXPECT_EQ(c.value(), 1);
+  c = list.cursor_at("b");
+  ASSERT_TRUE(c.valid());
+  EXPECT_EQ(c.key(), "banana");
+  EXPECT_FALSE(list.cursor_at("zebra").valid());
 }
 
 TEST(SkipListTest, OrderedTraversal) {
@@ -93,6 +94,116 @@ TEST(MemTableTest, BytesGrow) {
   EXPECT_EQ(mt.approximate_bytes(), 0u);
   mt.put("key", std::string(1000, 'v'), 1);
   EXPECT_GT(mt.approximate_bytes(), 1000u);
+}
+
+// Property test: MemTable::get (a hash-index probe) against two oracles —
+// a reference map kept by the rule "the newest (user_key, seq) wins, and
+// on a sequence tie the later insert wins", and the skiplist's own ordered
+// seek (cursor_at), which is how point lookups used to be answered. The
+// streams repeat keys, tie and reorder sequences, delete, use the empty
+// key and keys that are prefixes of one another, and insert enough
+// distinct keys to grow the index several times.
+class MemTableOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MemTableOracleTest, GetMatchesNewestEntry) {
+  sim::Rng rng(GetParam());
+  // Key pool: the empty key, every prefix of a few long keys, and many
+  // fixed-width keys so the index grows well past its initial size.
+  std::vector<std::string> pool = {""};
+  for (int b = 0; b < 8; ++b) {
+    std::string base;
+    const int len = static_cast<int>(rng.uniform_int(8, 24));
+    for (int i = 0; i < len; ++i) {
+      base.push_back(static_cast<char>(rng.uniform_int(0, 255)));
+    }
+    for (int i = 1; i <= len; ++i) pool.push_back(base.substr(0, i));
+  }
+  for (int i = 0; i < 3000; ++i) {
+    char key[17];
+    std::snprintf(key, sizeof(key), "%016llu",
+                  static_cast<unsigned long long>(rng.next_u64() % 1000000));
+    pool.emplace_back(key);
+  }
+
+  struct Newest {
+    std::uint64_t seq;
+    bool deleted;
+    std::string value;
+  };
+  std::map<std::string, Newest> model;
+  MemTable mt(GetParam());
+
+  const auto check = [&](const std::string& key) {
+    std::string got;
+    const LookupState st = mt.get(key, &got);
+    // Ordered-seek oracle: the first internal key at or after
+    // (key, max sequence) is the newest entry for `key`, if any.
+    const MemTable::Cursor c = mt.cursor_at(key);
+    LookupState seek = LookupState::kMissing;
+    if (c.valid() && MemTable::user_key_of(c.internal_key()) == key) {
+      seek = c.entry().type == EntryType::kDelete ? LookupState::kDeleted
+                                                  : LookupState::kFound;
+    }
+    ASSERT_EQ(st, seek) << "key size " << key.size();
+    if (st == LookupState::kFound) {
+      ASSERT_EQ(got, c.entry().value);
+    }
+
+    const auto it = model.find(key);
+    if (it == model.end()) {
+      ASSERT_EQ(st, LookupState::kMissing);
+    } else if (it->second.deleted) {
+      ASSERT_EQ(st, LookupState::kDeleted);
+    } else {
+      ASSERT_EQ(st, LookupState::kFound);
+      ASSERT_EQ(got, it->second.value);
+    }
+    ASSERT_EQ(mt.get(key, nullptr), st);
+  };
+
+  constexpr int kOps = 12000;
+  for (int op = 0; op < kOps; ++op) {
+    const std::string& key =
+        pool[static_cast<std::size_t>(rng.uniform_int(0, pool.size() - 1))];
+    // Small sequence range: repeats, ties and older-after-newer inserts.
+    const std::uint64_t seq = rng.uniform_int(1, kOps / 4);
+    const bool del = rng.bernoulli(0.2);
+    std::string value = "v";
+    value += std::to_string(op);
+    if (del) {
+      mt.del(key, seq);
+    } else {
+      mt.put(key, value, seq);
+    }
+    auto [it, fresh] = model.try_emplace(key, Newest{seq, del, value});
+    if (!fresh && seq >= it->second.seq) it->second = Newest{seq, del, value};
+    if (op % 1000 == 999) {
+      for (const auto& k : pool) ASSERT_NO_FATAL_FAILURE(check(k));
+    }
+  }
+  for (const auto& k : pool) ASSERT_NO_FATAL_FAILURE(check(k));
+  // Absent keys: extensions of stored keys and an unused range.
+  for (int i = 0; i < 500; ++i) {
+    ASSERT_NO_FATAL_FAILURE(check(pool[static_cast<std::size_t>(i)] + "~"));
+    ASSERT_NO_FATAL_FAILURE(check("absent" + std::to_string(i)));
+  }
+  EXPECT_GT(model.size(), 2000u);  // the index grew from 64 to 4096+ slots
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, MemTableOracleTest,
+                         ::testing::Values(1u, 2u, 3u, 17u, 2024u));
+
+TEST(MemTableTest, SequenceTieGoesToLaterInsert) {
+  MemTable mt;
+  mt.put("k", "first", 5);
+  mt.put("k", "second", 5);
+  std::string v;
+  EXPECT_EQ(mt.get("k", &v), LookupState::kFound);
+  EXPECT_EQ(v, "second");
+  mt.del("k", 5);
+  EXPECT_EQ(mt.get("k", &v), LookupState::kDeleted);
+  mt.put("k", "older", 4);
+  EXPECT_EQ(mt.get("k", &v), LookupState::kDeleted);
 }
 
 // ---------------------------------------------------------------------------
@@ -366,7 +477,8 @@ TEST(DbTest, RandomizedAgainstStdMap) {
   for (int op = 0; op < 4000; ++op) {
     const std::string key = "k" + std::to_string(rng.uniform_int(0, 500));
     if (rng.bernoulli(0.7)) {
-      const std::string value = "v" + std::to_string(op);
+      std::string value = "v";
+    value += std::to_string(op);
       fx.put(key, value);
       model[key] = value;
     } else {

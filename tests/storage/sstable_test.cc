@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "sim/rng.h"
 #include "storage/kvdb/bloom.h"
@@ -161,6 +162,139 @@ TEST(SstTest, ScanVisitsAllEntriesInOrder) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(count, 1000);
 }
+
+// Property test: SstReader::get against a reference map over multi-block
+// SSTs. Each user key has one to three versions (newest first, some of
+// them tombstones) and values of random length, so block boundaries fall
+// at varied places, sometimes between versions of one key. Every stored
+// key is looked up — first, last and those at block boundaries included —
+// plus keys that fall between, before and after the stored ones.
+class SstOracleTest : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(SstOracleTest, GetMatchesNewestVersion) {
+  sim::Rng rng(GetParam());
+  std::set<std::string> keys;
+  while (keys.size() < 1500) {
+    std::string k = "key";
+    const int len = static_cast<int>(rng.uniform_int(1, 12));
+    for (int i = 0; i < len; ++i) {
+      k.push_back(static_cast<char>('a' + rng.uniform_int(0, 25)));
+    }
+    keys.insert(std::move(k));
+  }
+  struct Newest {
+    bool deleted;
+    std::string value;
+  };
+  std::map<std::string, Newest> model;
+  SstBuilder builder(keys.size());
+  std::uint64_t seq = 100000;
+  for (const auto& k : keys) {
+    const int versions = static_cast<int>(rng.uniform_int(1, 3));
+    for (int v = 0; v < versions; ++v) {
+      MemEntry e;
+      e.sequence = seq--;
+      if (rng.bernoulli(0.15)) {
+        e.type = EntryType::kDelete;
+      } else {
+        e.value.assign(static_cast<std::size_t>(rng.uniform_int(0, 300)),
+                       static_cast<char>('a' + v));
+      }
+      if (v == 0) {
+        model[k] = Newest{e.type == EntryType::kDelete, e.value};
+      }
+      builder.add(k, e);
+    }
+  }
+  ASSERT_GT(builder.data_bytes(), 20 * kTargetDataBlockBytes);
+  SstFixture fx;
+  ASSERT_TRUE(builder.write_to(*fx.fs, fx.t, "/oracle.sst").ok());
+  auto open = SstReader::open(*fx.fs, fx.t, "/oracle.sst");
+  ASSERT_TRUE(open.ok());
+  SstReader& sst = *open.reader;
+
+  const auto check = [&](const std::string& key) {
+    const SstGetResult g = sst.get(fx.t, key);
+    ASSERT_EQ(g.err, Errno::kOk) << key;
+    const auto it = model.find(key);
+    if (it == model.end()) {
+      ASSERT_EQ(g.state, LookupState::kMissing) << key;
+    } else if (it->second.deleted) {
+      ASSERT_EQ(g.state, LookupState::kDeleted) << key;
+    } else {
+      ASSERT_EQ(g.state, LookupState::kFound) << key;
+      ASSERT_EQ(g.value, it->second.value) << key;
+    }
+  };
+  for (const auto& [k, newest] : model) {
+    ASSERT_NO_FATAL_FAILURE(check(k));
+    ASSERT_NO_FATAL_FAILURE(check(k + "0"));  // between k and its successor
+    ASSERT_NO_FATAL_FAILURE(check(k.substr(0, k.size() - 1)));
+  }
+  ASSERT_NO_FATAL_FAILURE(check(""));
+  ASSERT_NO_FATAL_FAILURE(check("a"));
+  ASSERT_NO_FATAL_FAILURE(check("zzz"));
+  EXPECT_EQ(sst.smallest(), model.begin()->first);
+  EXPECT_EQ(sst.largest(), model.rbegin()->first);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SstOracleTest,
+                         ::testing::Values(1u, 2u, 3u, 17u, 2024u));
+
+// A data block whose last entry declares a key or value longer than the
+// bytes left in the block: the entries before it still read, and the
+// corrupt entry reads as absent, without an error.
+class SstCorruptLengthTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SstCorruptLengthTest, OversizedLastEntryReadsAsMissing) {
+  SstFixture fx;
+  SstBuilder builder(3);
+  builder.add("key1", put_entry("value1", 3));
+  builder.add("key2", put_entry("value2", 2));
+  builder.add("key3", put_entry("value3", 1));
+  ASSERT_TRUE(builder.write_to(*fx.fs, fx.t, "/bad.sst").ok());
+
+  // Entry: u16 klen | u32 vlen | u64 seq | u8 type | key | value.
+  constexpr std::uint64_t kEntryBytes = 2 + 4 + 8 + 1 + 4 + 6;
+  const std::uint64_t last = 2 * kEntryBytes;
+  std::vector<std::byte> patch;
+  std::uint64_t at = last;
+  switch (GetParam()) {
+    case 0:  // klen past the block end
+      patch = {std::byte{0xff}, std::byte{0xff}};
+      break;
+    case 1:  // vlen one byte past the block end
+      patch = {std::byte{7}, std::byte{0}, std::byte{0}, std::byte{0}};
+      at = last + 2;
+      break;
+    default:  // vlen of almost 4 GiB
+      patch = {std::byte{0xf0}, std::byte{0xff}, std::byte{0xff},
+               std::byte{0xff}};
+      at = last + 2;
+      break;
+  }
+  const FsLookupResult lr = fx.fs->lookup(fx.t, "/bad.sst");
+  ASSERT_TRUE(lr.ok());
+  const FsIoResult wr = fx.fs->write(lr.done, lr.inode, at, patch);
+  ASSERT_TRUE(wr.ok());
+  fx.t = wr.done;
+
+  auto open = SstReader::open(*fx.fs, fx.t, "/bad.sst");
+  ASSERT_TRUE(open.ok());
+  SstReader& sst = *open.reader;
+  for (const char* key : {"key1", "key2"}) {
+    const SstGetResult g = sst.get(fx.t, key);
+    EXPECT_EQ(g.err, Errno::kOk);
+    EXPECT_EQ(g.state, LookupState::kFound) << key;
+  }
+  const SstGetResult g = sst.get(fx.t, "key3");
+  EXPECT_EQ(g.err, Errno::kOk);
+  EXPECT_EQ(g.state, LookupState::kMissing);
+  EXPECT_TRUE(g.value.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Fields, SstCorruptLengthTest,
+                         ::testing::Values(0, 1, 2));
 
 TEST(SstTest, OpenRejectsGarbage) {
   SstFixture fx;

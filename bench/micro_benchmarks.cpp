@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -404,12 +405,22 @@ BENCHMARK(BM_SectorStoreAnyWritten);
 // ---------------------------------------------------------------------------
 // storage
 
+// Puts of 100k distinct keys into a table that starts empty; the table
+// is rebuilt (untimed) after every 100k, so each run times the same
+// growth from 0 to 100k entries however many iterations it makes.
 static void BM_MemTablePut(benchmark::State& state) {
-  storage::kvdb::MemTable mt;
+  constexpr std::uint64_t kPutsPerTable = 100000;
+  auto mt = std::make_unique<storage::kvdb::MemTable>();
   std::uint64_t seq = 0;
   for (auto _ : state) {
+    if (seq == kPutsPerTable) {
+      state.PauseTiming();
+      mt = std::make_unique<storage::kvdb::MemTable>();
+      seq = 0;
+      state.ResumeTiming();
+    }
     ++seq;
-    mt.put("key" + std::to_string(seq % 100000), "value", seq);
+    mt->put("key" + std::to_string(seq % kPutsPerTable), "value", seq);
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -634,6 +645,42 @@ BENCHMARK(BM_PlacementReplicas)
     ->Arg(static_cast<int>(cluster::PlacementPolicy::kSamePod))
     ->Arg(static_cast<int>(cluster::PlacementPolicy::kCrossPod))
     ->Arg(static_cast<int>(cluster::PlacementPolicy::kRackAware));
+
+// One Zipf key from the fleet_10k shape (1M keys, theta 0.99): the
+// alias table is 12 MB, so most samples miss the cache on their bucket.
+static const cluster::ZipfAliasSampler& fleet_zipf() {
+  static const cluster::ZipfAliasSampler zipf(1000000, 0.99);
+  return zipf;
+}
+
+static void BM_ZipfAliasNext(benchmark::State& state) {
+  const cluster::ZipfAliasSampler& zipf = fleet_zipf();
+  sim::Rng rng(5);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(zipf.next(rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ZipfAliasNext);
+
+// The engine's open-loop shape: draw a batch of keys (one fleet_10k
+// epoch is ~2000) with a prefetch per bucket, then resolve them all.
+// Items are keys.
+static void BM_ZipfAliasDrawResolve(benchmark::State& state) {
+  const cluster::ZipfAliasSampler& zipf = fleet_zipf();
+  sim::Rng rng(5);
+  std::vector<cluster::ZipfAliasSampler::Draw> draws(
+      static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (auto& d : draws) {
+      d = zipf.draw(rng);
+      zipf.prefetch(d);
+    }
+    for (const auto& d : draws) benchmark::DoNotOptimize(zipf.resolve(d));
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ZipfAliasDrawResolve)->Arg(2000);
 
 // Host cost of one replicated read through the whole serving path:
 // placement, health ranking, node I/O, detector update, control-loop

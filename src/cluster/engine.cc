@@ -41,6 +41,7 @@ ShardedClusterEngine::ShardedClusterEngine(
   if (config_.balancer.objects == 0 || config_.balancer.object_sectors == 0) {
     throw std::invalid_argument("engine: empty object space");
   }
+  mod_objects_ = sim::FastMod(config_.balancer.objects);
   for (storage::BlockDevice* device : devices_) {
     if (config_.balancer.objects * config_.balancer.object_sectors >
         device->total_sectors()) {
@@ -89,7 +90,9 @@ ShardedClusterEngine::ShardedClusterEngine(
   for (std::size_t id = 0; id < n; ++id) {
     node_shard_[id] = static_cast<std::uint32_t>(id / nodes_per_shard_);
   }
+  shard_staged_.resize(shard_count_);
   shard_active_.resize(shard_count_);
+  shard_max_depth_.resize(shard_count_);
 
   const std::size_t buf_sectors = std::max<std::size_t>(
       config_.balancer.object_sectors, config_.balancer.probe_sectors);
@@ -179,7 +182,6 @@ void ShardedClusterEngine::start_run(sim::SimTime start, SloTracker& slo,
   retry_tokens_ = config_.balancer.retry_budget_cap;
   stats_ = {};
   traffic_ = {};
-  max_node_depth_ = 0;
   op_seq_ = 0;
   ops_emitted_ = 0;
 
@@ -189,12 +191,16 @@ void ShardedClusterEngine::start_run(sim::SimTime start, SloTracker& slo,
   next_probe_.assign(n, sim::SimTime::infinity());
   rank_snap_.assign(n, 0);
   hot_snap_.assign(n, 0);
+  node_alerted_.assign(n, 0);
+  node_hot_.assign(n, 0);
   node_reads_.assign(n, 0);
   node_writes_.assign(n, 0);
   node_errors_.assign(n, 0);
   node_depth_.assign(n, 0);
   for (auto& ops : node_ops_) ops.clear();
+  for (auto& staged : shard_staged_) staged.clear();
   for (auto& active : shard_active_) active.clear();
+  std::fill(shard_max_depth_.begin(), shard_max_depth_.end(), 0);
   for (auto& frontier : shard_frontier_) frontier = start;
   pending_.clear();
   next_pending_.clear();
@@ -289,6 +295,7 @@ bool ShardedClusterEngine::step() {
       issue_scratch_.clear();
       clients_.collect_due(t1, *zipf_, issue_scratch_);
       if (issue_scratch_.empty()) break;
+      std::size_t admitted = 0;
       for (const ClientIssue& issue : issue_scratch_) {
         if (browning &&
             brownout_.should_shed(brownout_.class_of(issue.client))) {
@@ -308,9 +315,14 @@ bool ShardedClusterEngine::step() {
           clients_.complete(issue.client, issue.at, OutcomeKind::kShed);
           continue;
         }
-        const std::uint32_t r =
-            push_request(issue.at, issue.key, issue.is_read);
+        issue_scratch_[admitted++] = issue;
+      }
+      const std::uint32_t first = open_requests(admitted);
+      for (std::size_t i = 0; i < admitted; ++i) {
+        const ClientIssue& issue = issue_scratch_[i];
+        const auto r = static_cast<std::uint32_t>(first + i);
         req_client_[r] = issue.client;
+        route_request(r, issue.at, issue.key, issue.is_read);
       }
       // A fully browned-out round emits nothing; the rescheduled
       // retries (strictly later — backoff base is positive) either land
@@ -320,7 +332,7 @@ bool ShardedClusterEngine::step() {
       round_lo = req_arrival_.size();
     }
   } else {
-    generate_and_route(t0, t1);
+    generate_and_route(t1);
     if (ops_emitted_ > 0) run_waves(0);
   }
   barrier_control(t1);
@@ -359,7 +371,12 @@ EngineReport ShardedClusterEngine::finish() {
   EngineReport report;
   report.traffic = traffic_;
   report.stats = stats_;
-  report.max_node_depth = max_node_depth_;
+  // Depth only grows within an epoch, so the deepest queue any shard
+  // saw after any wave is the deepest queue of the run.
+  for (const std::uint32_t depth : shard_max_depth_) {
+    report.max_node_depth = std::max<std::uint64_t>(report.max_node_depth,
+                                                   depth);
+  }
   if (serving()) {
     ServingReport& s = report.serving;
     // Shard index order for determinism; untouched servers are all-zero.
@@ -418,10 +435,7 @@ void ShardedClusterEngine::snapshot_control_state() {
       // open) are short-circuited at execution.
       rank_snap_[i] = kDrainedRank;
     }
-    if (hedging) {
-      hot_snap_[i] =
-          detectors_[i].recent_latency_s() > hedge_threshold_s_ ? 1 : 0;
-    }
+    if (hedging) hot_snap_[i] = node_hot_[i];
   }
 }
 
@@ -460,13 +474,25 @@ void ShardedClusterEngine::begin_epoch() {
 void ShardedClusterEngine::emit(NodeId node, std::uint8_t kind,
                                 std::uint32_t req, std::uint16_t leg,
                                 sim::SimTime issue) {
-  std::vector<Op>& ops = node_ops_[node];
-  if (ops.empty()) shard_active_[node_shard_[node]].push_back(node);
-  ops.push_back(Op{issue, op_seq_++, req, leg, kind});
+  shard_staged_[node_shard_[node]].push_back(
+      Op{issue, op_seq_++, req, node, leg, kind});
   ++ops_emitted_;
-  if (++node_depth_[node] > max_node_depth_) {
-    max_node_depth_ = node_depth_[node];
+}
+
+void ShardedClusterEngine::unstage(std::size_t shard) {
+  // Emission order in, emission order out: each node's queue and the
+  // shard's active list come out exactly as emit() once built them.
+  std::vector<Op>& staged = shard_staged_[shard];
+  std::vector<NodeId>& active = shard_active_[shard];
+  std::uint32_t max_depth = shard_max_depth_[shard];
+  for (const Op& op : staged) {
+    std::vector<Op>& ops = node_ops_[op.node];
+    if (ops.empty()) active.push_back(op.node);
+    ops.push_back(op);
+    max_depth = std::max(max_depth, ++node_depth_[op.node]);
   }
+  shard_max_depth_[shard] = max_depth;
+  staged.clear();
 }
 
 void ShardedClusterEngine::schedule_probes(sim::SimTime t0, sim::SimTime t1) {
@@ -485,45 +511,64 @@ void ShardedClusterEngine::schedule_probes(sim::SimTime t0, sim::SimTime t1) {
   }
 }
 
-void ShardedClusterEngine::generate_and_route(sim::SimTime t0,
-                                              sim::SimTime t1) {
-  (void)t0;
+void ShardedClusterEngine::generate_and_route(sim::SimTime t1) {
+  // Two passes over one RNG stream. The first makes every draw of the
+  // epoch in stream order (gap, key bucket, key coin, read coin) and
+  // prefetches each key's alias-table entry; the second resolves the
+  // keys, by then mostly cached, and routes them.
+  arrivals_.clear();
   while (next_arrival_ < t1) {
-    const sim::SimTime arrival = next_arrival_;
-    next_arrival_ = arrival + sim::Duration::from_seconds(
-                                  rng_.exponential(mean_gap_s_));
-    const std::uint64_t key = zipf_->next(rng_);
-    const bool is_read = rng_.bernoulli(config_.traffic.read_fraction);
-    push_request(arrival, key, is_read);
+    Arrival& a = arrivals_.emplace_back();
+    a.at = next_arrival_;
+    next_arrival_ = a.at + sim::Duration::from_seconds(
+                               rng_.exponential(mean_gap_s_));
+    a.key = zipf_->draw(rng_);
+    zipf_->prefetch(a.key);
+    a.is_read = rng_.bernoulli(config_.traffic.read_fraction);
+  }
+  const std::uint32_t first = open_requests(arrivals_.size());
+  for (std::size_t i = 0; i < arrivals_.size(); ++i) {
+    const Arrival& a = arrivals_[i];
+    route_request(static_cast<std::uint32_t>(first + i), a.at,
+                  zipf_->resolve(a.key), a.is_read);
   }
 }
 
-std::uint32_t ShardedClusterEngine::push_request(sim::SimTime arrival,
-                                                std::uint64_t key,
-                                                bool is_read) {
-  const auto r = static_cast<std::uint32_t>(req_arrival_.size());
-  req_arrival_.push_back(arrival);
-  req_lba_.push_back((mix64(key) % config_.balancer.objects) *
-                     config_.balancer.object_sectors);
-  req_is_read_.push_back(is_read ? 1 : 0);
-  req_hedged_.push_back(0);
-  req_ok_.push_back(0);
-  req_complete_.push_back(arrival);
-  req_t_.push_back(arrival);
-  req_attempts_.push_back(0);
-  req_next_cand_.push_back(0);
-  req_ncand_.push_back(0);
-  req_nlegs_.push_back(0);
-  req_cand_.resize(req_cand_.size() + leg_stride_);
-  leg_ok_.resize(leg_ok_.size() + leg_stride_, 0);
-  leg_complete_.resize(leg_complete_.size() + leg_stride_,
-                       sim::SimTime::zero());
+std::uint32_t ShardedClusterEngine::open_requests(std::size_t count) {
+  const std::size_t first = req_arrival_.size();
+  const std::size_t n = first + count;
+  const std::size_t legs = n * leg_stride_;
+  req_arrival_.resize(n);
+  req_lba_.resize(n);
+  req_is_read_.resize(n);
+  req_hedged_.resize(n, 0);
+  req_ok_.resize(n, 0);
+  req_complete_.resize(n);
+  req_t_.resize(n);
+  req_attempts_.resize(n, 0);
+  req_next_cand_.resize(n, 0);
+  req_ncand_.resize(n, 0);
+  req_nlegs_.resize(n, 0);
+  req_cand_.resize(legs);
+  leg_ok_.resize(legs, 0);
+  leg_complete_.resize(legs, sim::SimTime::zero());
   if (serving()) {
-    req_fail_kind_.push_back(0);
-    req_client_.push_back(0);
-    req_hedge_cancel_.push_back(sim::SimTime::infinity());
-    leg_outcome_.resize(leg_outcome_.size() + leg_stride_, 0);
+    req_fail_kind_.resize(n, 0);
+    req_client_.resize(n, 0);
+    req_hedge_cancel_.resize(n, sim::SimTime::infinity());
+    leg_outcome_.resize(legs, 0);
   }
+  return static_cast<std::uint32_t>(first);
+}
+
+void ShardedClusterEngine::route_request(std::uint32_t r,
+                                         sim::SimTime arrival,
+                                         std::uint64_t key, bool is_read) {
+  req_arrival_[r] = arrival;
+  req_lba_[r] = mod_objects_(mix64(key)) * config_.balancer.object_sectors;
+  req_is_read_[r] = is_read ? 1 : 0;
+  req_complete_[r] = arrival;
+  req_t_[r] = arrival;
 
   ++traffic_.requests;
   placement_.replicas(key, replica_scratch_);
@@ -535,7 +580,6 @@ std::uint32_t ShardedClusterEngine::push_request(sim::SimTime arrival,
     ++traffic_.writes;
     route_write(r);
   }
-  return r;
 }
 
 void ShardedClusterEngine::route_read(std::uint32_t r) {
@@ -640,6 +684,7 @@ void ShardedClusterEngine::execute_nodes(std::size_t shard_lo,
   // so list order (first-emission order) does not affect output.
   const bool serve = serving();
   for (std::size_t s = shard_lo; s < shard_hi; ++s) {
+    unstage(s);
     std::vector<NodeId>& active = shard_active_[s];
     for (std::size_t ai = 0; ai < active.size(); ++ai) {
       const NodeId node = active[ai];
@@ -749,6 +794,7 @@ void ShardedClusterEngine::execute_nodes(std::size_t shard_lo,
         }
         server.clear_completions();
         ops.clear();
+        publish_detector(node);
         continue;
       }
       for (const Op& op : ops) {
@@ -802,10 +848,17 @@ void ShardedClusterEngine::execute_nodes(std::size_t shard_lo,
         frontier = sim::max(frontier, io.complete);
       }
       ops.clear();
+      publish_detector(node);
     }
     active.clear();
   }
   shard_frontier_[shard_slot] = frontier;
+}
+
+void ShardedClusterEngine::publish_detector(NodeId node) {
+  const core::AttackDetector& detector = detectors_[node];
+  node_alerted_[node] = detector.alerted() ? 1 : 0;
+  node_hot_[node] = detector.recent_latency_s() > hedge_threshold_s_ ? 1 : 0;
 }
 
 void ShardedClusterEngine::record_serving_result(
@@ -1107,6 +1160,7 @@ void ShardedClusterEngine::barrier_control(sim::SimTime t1) {
       health_[id] = NodeHealth::kHealthy;
       next_probe_[id] = sim::SimTime::infinity();
       detectors_[id].acknowledge();
+      node_alerted_[id] = 0;
       ++stats_.readmits;
     } else {
       next_probe_[id] = probe_issue_[p] + config_.balancer.probe_interval;
@@ -1128,7 +1182,7 @@ void ShardedClusterEngine::barrier_control(sim::SimTime t1) {
       }
       continue;
     }
-    if (!detectors_[id].alerted()) continue;
+    if (!node_alerted_[id]) continue;
     if (flap == resilience::ChaosFlapMode::kSuppress) continue;
     if (health_[id] != NodeHealth::kHealthy) continue;
     if (config_.balancer.auto_drain) {

@@ -61,6 +61,7 @@
 #include "cluster/serving/node_server.h"
 #include "cluster/slo.h"
 #include "cluster/traffic.h"
+#include "sim/fast_mod.h"
 #include "sim/task_pool.h"
 
 namespace deepnote::cluster {
@@ -247,9 +248,11 @@ class ShardedClusterEngine {
     sim::SimTime issue;
     std::uint32_t seq;   ///< emission order; tie-break for equal issue
     std::uint32_t req;   ///< request index (probe index for kProbe)
+    NodeId node;         ///< target; read when a shard unstages the op
     std::uint16_t leg;   ///< completion slot within the request
     std::uint8_t kind;   ///< kRead / kWrite / kProbe
   };
+  static_assert(sizeof(Op) == 24);
   static constexpr std::uint8_t kRead = 0;
   static constexpr std::uint8_t kWrite = 1;
   static constexpr std::uint8_t kProbe = 2;
@@ -263,9 +266,12 @@ class ShardedClusterEngine {
   void snapshot_control_state();
   void begin_epoch();
   void schedule_probes(sim::SimTime t0, sim::SimTime t1);
-  void generate_and_route(sim::SimTime t0, sim::SimTime t1);
-  std::uint32_t push_request(sim::SimTime arrival, std::uint64_t key,
-                             bool is_read);
+  void generate_and_route(sim::SimTime t1);
+  /// Append `count` unrouted request slots to the epoch arenas; returns
+  /// the first one's index. Batches size the arenas once, not per request.
+  std::uint32_t open_requests(std::size_t count);
+  void route_request(std::uint32_t r, sim::SimTime arrival,
+                     std::uint64_t key, bool is_read);
   void route_read(std::uint32_t r);
   void route_write(std::uint32_t r);
   void emit(NodeId node, std::uint8_t kind, std::uint32_t req,
@@ -274,6 +280,8 @@ class ShardedClusterEngine {
   void execute_wave();
   void execute_nodes(std::size_t shard_lo, std::size_t shard_hi,
                      std::size_t shard_slot);
+  void unstage(std::size_t shard);
+  void publish_detector(NodeId node);
   void run_waves(std::size_t first_req);
   void combine_wave0(std::size_t first_req);
   void combine_failover_wave();
@@ -299,6 +307,7 @@ class ShardedClusterEngine {
   PlacementMap placement_;
   std::size_t write_quorum_;
   std::size_t leg_stride_;  ///< completion slots per request
+  sim::FastMod mod_objects_;  ///< key hash -> object index
   std::shared_ptr<const ZipfAliasSampler> zipf_;
   double mean_gap_s_;
   double hedge_threshold_s_;
@@ -314,17 +323,29 @@ class ShardedClusterEngine {
   std::vector<sim::SimTime> next_probe_;
   std::vector<std::uint8_t> rank_snap_;  ///< epoch-start health rank
   std::vector<std::uint8_t> hot_snap_;   ///< epoch-start hedge heat
+  /// Each detector's alert flag and hedge heat, republished by the
+  /// owning shard after every node it runs, so the per-epoch control
+  /// walks read one byte per node instead of a whole detector.
+  std::vector<std::uint8_t> node_alerted_;
+  std::vector<std::uint8_t> node_hot_;
   std::vector<std::uint64_t> node_reads_;
   std::vector<std::uint64_t> node_writes_;
   std::vector<std::uint64_t> node_errors_;
   std::vector<std::uint32_t> node_depth_;  ///< ops queued this epoch
   std::vector<std::vector<Op>> node_ops_;  ///< per-node wave queues
   std::vector<std::uint32_t> node_shard_;  ///< owning shard, precomputed
+  /// The wave's ops in emission order, one list per owning shard. emit()
+  /// runs on the serial path and only appends here (a few hot list
+  /// tails instead of one cold queue per node); each shard moves its
+  /// list into node_ops_ itself, in parallel, when its wave starts.
+  std::vector<std::vector<Op>> shard_staged_;
   /// Nodes with queued ops this wave, one list per shard: a wave at 10k
   /// nodes touches only the nodes traffic actually hit instead of
-  /// scanning every queue. Filled by emit() on empty -> nonempty,
+  /// scanning every queue. Filled by unstage() on empty -> nonempty,
   /// consumed and cleared by execute_nodes().
   std::vector<std::vector<NodeId>> shard_active_;
+  /// Deepest node_depth_ each shard has seen this run (owner-exclusive).
+  std::vector<std::uint32_t> shard_max_depth_;
   /// Serving mode only: one queued pipeline per node, contiguous so a
   /// wave walking its active nodes streams through adjacent objects.
   std::vector<serving::NodeServer> servers_;
@@ -377,6 +398,13 @@ class ShardedClusterEngine {
   std::vector<std::uint8_t> probe_ok_;
   std::vector<std::uint32_t> pending_;       ///< reads awaiting this wave
   std::vector<std::uint32_t> next_pending_;  ///< reads emitted for next wave
+  /// One epoch's open-loop arrivals, drawn before any is routed.
+  struct Arrival {
+    sim::SimTime at;
+    ZipfAliasSampler::Draw key;
+    bool is_read;
+  };
+  std::vector<Arrival> arrivals_;
   bool wave_lists_flipped_ = false;  ///< parity of pending_ role swaps
   std::vector<NodeId> replica_scratch_;
   std::vector<sim::SimTime> ack_scratch_;
@@ -400,7 +428,6 @@ class ShardedClusterEngine {
   std::size_t ops_emitted_ = 0;
   BalancerStats stats_;
   TrafficReport traffic_;
-  std::uint64_t max_node_depth_ = 0;
 
   // --- serving-mode run state -------------------------------------------
   ClosedLoopPopulation clients_;

@@ -31,30 +31,40 @@ PlacementMap::PlacementMap(ClusterTopology topology, PlacementPolicy policy,
     throw std::invalid_argument(
         "placement: spreading policies need replication <= pods");
   }
+  mod_pods_ = sim::FastMod(topology_.pods);
+  mod_bays_ = sim::FastMod(topology_.bays_per_pod);
+  mod_far_bays_ = sim::FastMod((topology_.bays_per_pod + 1) / 2);
 }
 
 void PlacementMap::replicas(std::uint64_t key, std::vector<NodeId>& out) const {
-  out.clear();
-  out.reserve(replication_);
+  out.resize(replication_);
+  NodeId* const ids = out.data();
   const std::uint64_t h = mix64(key);
   // Independent stream for bay selection so pod and bay choices do not
   // correlate across keys.
   const std::uint64_t h2 = mix64(h);
+  // Replica r walks from a hashed start to start + r. Replication never
+  // exceeds the count walked, so start + r < 2 * count and one
+  // conditional subtract is the whole remainder.
   switch (policy_) {
     case PlacementPolicy::kSamePod: {
-      const std::size_t start_bay = h % topology_.bays_per_pod;
+      const std::size_t bays = topology_.bays_per_pod;
+      const std::size_t start_bay = mod_bays_(h);
       for (std::size_t r = 0; r < replication_; ++r) {
-        out.push_back(topology_.node_id(
-            0, (start_bay + r) % topology_.bays_per_pod));
+        std::size_t bay = start_bay + r;
+        if (bay >= bays) bay -= bays;
+        ids[r] = topology_.node_id(0, bay);
       }
       break;
     }
     case PlacementPolicy::kCrossPod: {
-      const std::size_t start_pod = h % topology_.pods;
+      const std::size_t pods = topology_.pods;
+      const std::size_t start_pod = mod_pods_(h);
       for (std::size_t r = 0; r < replication_; ++r) {
-        const std::size_t pod = (start_pod + r) % topology_.pods;
-        const std::size_t bay = (h2 + r * 0x9e37ull) % topology_.bays_per_pod;
-        out.push_back(topology_.node_id(pod, bay));
+        std::size_t pod = start_pod + r;
+        if (pod >= pods) pod -= pods;
+        const std::size_t bay = mod_bays_(h2 + r * 0x9e37ull);
+        ids[r] = topology_.node_id(pod, bay);
       }
       break;
     }
@@ -62,13 +72,14 @@ void PlacementMap::replicas(std::uint64_t key, std::vector<NodeId>& out) const {
       // Distinct pods like cross-pod, but only the far half of each
       // tower: bay indices count away from the incident wall, so the
       // highest indices see the least acoustic coupling.
-      const std::size_t start_pod = h % topology_.pods;
-      const std::size_t far_bays = (topology_.bays_per_pod + 1) / 2;
+      const std::size_t pods = topology_.pods;
+      const std::size_t start_pod = mod_pods_(h);
       for (std::size_t r = 0; r < replication_; ++r) {
-        const std::size_t pod = (start_pod + r) % topology_.pods;
+        std::size_t pod = start_pod + r;
+        if (pod >= pods) pod -= pods;
         const std::size_t bay =
-            topology_.bays_per_pod - 1 - ((h2 + r * 0x9e37ull) % far_bays);
-        out.push_back(topology_.node_id(pod, bay));
+            topology_.bays_per_pod - 1 - mod_far_bays_(h2 + r * 0x9e37ull);
+        ids[r] = topology_.node_id(pod, bay);
       }
       break;
     }

@@ -23,6 +23,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "sim/fast_mod.h"
+
 namespace deepnote::cluster {
 
 using NodeId = std::uint32_t;
@@ -77,6 +79,11 @@ class PlacementMap {
   ClusterTopology topology_;
   PlacementPolicy policy_;
   std::size_t replication_;
+  // Division-free remainders by the topology's constant divisors: pods,
+  // bays per pod, and the far half of a tower (rack-aware).
+  sim::FastMod mod_pods_;
+  sim::FastMod mod_bays_;
+  sim::FastMod mod_far_bays_;
 };
 
 }  // namespace deepnote::cluster

@@ -55,6 +55,7 @@ ZipfAliasSampler::ZipfAliasSampler(std::uint64_t n, double theta)
   if (theta_ <= 0.0 || theta_ >= 1.0) {
     throw std::invalid_argument("zipf: theta must be in (0, 1)");
   }
+  mod_n_ = sim::FastMod(n_);
   // One pass for the normalizer, one to split buckets into under/over
   // full, one to pair them up (Vose). All index order, fully
   // deterministic.
@@ -96,12 +97,6 @@ ZipfAliasSampler::ZipfAliasSampler(std::uint64_t n, double theta)
   // Leftovers (floating-point dust): their buckets are full.
   for (const std::uint32_t i : large) accept_[i] = 1.0;
   for (const std::uint32_t i : small) accept_[i] = 1.0;
-}
-
-std::uint64_t ZipfAliasSampler::next(sim::Rng& rng) const {
-  const std::uint64_t bucket = rng.next_u64() % n_;
-  const double coin = rng.next_double();
-  return coin < accept_[bucket] ? bucket : alias_[bucket];
 }
 
 double ZipfAliasSampler::probability(std::uint64_t rank) const {

@@ -20,6 +20,7 @@
 #include "cluster/balancer.h"
 #include "cluster/resilience/retry.h"
 #include "cluster/slo.h"
+#include "sim/fast_mod.h"
 #include "sim/rng.h"
 
 namespace deepnote::cluster {
@@ -55,7 +56,28 @@ class ZipfAliasSampler {
  public:
   ZipfAliasSampler(std::uint64_t n, double theta);
 
-  std::uint64_t next(sim::Rng& rng) const;
+  /// The two RNG draws of one sample, before the table lookup.
+  struct Draw {
+    std::uint64_t bucket;
+    double coin;
+  };
+
+  /// next() split in two, next(rng) == resolve(draw(rng)): a batch can
+  /// make all its draws in stream order, prefetch each bucket, and only
+  /// then pay for the (cold, at millions of keys) table reads.
+  Draw draw(sim::Rng& rng) const {
+    const std::uint64_t bucket = mod_n_(rng.next_u64());
+    return {bucket, rng.next_double()};
+  }
+  void prefetch(const Draw& d) const {
+    __builtin_prefetch(&accept_[d.bucket]);
+    __builtin_prefetch(&alias_[d.bucket]);
+  }
+  std::uint64_t resolve(const Draw& d) const {
+    return d.coin < accept_[d.bucket] ? d.bucket : alias_[d.bucket];
+  }
+  std::uint64_t next(sim::Rng& rng) const { return resolve(draw(rng)); }
+
   std::uint64_t n() const { return n_; }
   double theta() const { return theta_; }
   /// Exact probability of rank r (for tests).
@@ -63,6 +85,7 @@ class ZipfAliasSampler {
 
  private:
   std::uint64_t n_;
+  sim::FastMod mod_n_;
   double theta_;
   double zetan_;
   std::vector<double> accept_;      ///< acceptance threshold per bucket

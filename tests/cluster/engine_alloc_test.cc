@@ -60,5 +60,47 @@ TEST(EngineAllocTest, WarmEngineRunIsAllocationFree) {
       << "steady-state engine loop allocated on the hot path";
 }
 
+// The sharded path has arenas of its own: per-shard staged-op lists and
+// active lists, per-shard depth maxima, and per-node queues filled by
+// the workers. A fleet with enough traffic that every wave goes through
+// the pool must replay allocation-free as well.
+TEST(EngineAllocTest, WarmShardedEngineRunIsAllocationFree) {
+  constexpr std::uint64_t kSectors = 16384;
+  const ClusterTopology topo{.pods = 40, .bays_per_pod = 5};
+
+  std::vector<std::unique_ptr<storage::MemDisk>> disks;
+  std::vector<storage::BlockDevice*> devices;
+  for (std::size_t i = 0; i < topo.nodes(); ++i) {
+    disks.push_back(std::make_unique<storage::MemDisk>(kSectors));
+    devices.push_back(disks.back().get());
+  }
+
+  EngineConfig config;
+  config.balancer.objects = 1000;
+  config.traffic.arrival_rate_per_s = 60000.0;
+  config.traffic.duration = sim::Duration::from_seconds(0.5);
+  config.traffic.keyspace = 1000;
+  config.jobs = 4;
+  ShardedClusterEngine engine(topo, devices, config);
+  ASSERT_GT(engine.shards(), 1u);
+
+  SloTracker slo(sim::SimTime::zero());
+  const EngineReport warm = engine.run(sim::SimTime::zero(), slo);
+  // ~3000 requests per 50 ms epoch: every wave-0 batch clears the
+  // inline threshold, so the waves run on the pool.
+  const std::uint64_t epochs = static_cast<std::uint64_t>(
+      config.traffic.duration.ns() / config.epoch.ns());
+  ASSERT_GT(warm.traffic.requests / epochs, config.min_ops_to_shard);
+
+  const std::uint64_t before = test_support::heap_allocations();
+  const EngineReport measured = engine.run(sim::SimTime::zero(), slo);
+  const std::uint64_t after = test_support::heap_allocations();
+
+  EXPECT_EQ(measured.traffic.requests, warm.traffic.requests);
+  EXPECT_EQ(measured.max_node_depth, warm.max_node_depth);
+  EXPECT_EQ(after - before, 0u)
+      << "steady-state sharded engine loop allocated on the hot path";
+}
+
 }  // namespace
 }  // namespace deepnote::cluster

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace deepnote::cluster {
@@ -100,6 +102,98 @@ TEST(Placement, ReusedOutputVectorIsCleared) {
   map.replicas(7, out);
   EXPECT_EQ(out.size(), 2u);
 }
+
+// The placement rule written with plain `%`, as it read before the map
+// switched to division-free remainders; every replica set must match it.
+std::vector<NodeId> reference_replicas(const ClusterTopology& topo,
+                                       PlacementPolicy policy,
+                                       std::size_t replication,
+                                       std::uint64_t key) {
+  std::vector<NodeId> out;
+  const std::uint64_t h = mix64(key);
+  const std::uint64_t h2 = mix64(h);
+  switch (policy) {
+    case PlacementPolicy::kSamePod: {
+      const std::size_t start_bay = h % topo.bays_per_pod;
+      for (std::size_t r = 0; r < replication; ++r) {
+        out.push_back(topo.node_id(0, (start_bay + r) % topo.bays_per_pod));
+      }
+      break;
+    }
+    case PlacementPolicy::kCrossPod: {
+      const std::size_t start_pod = h % topo.pods;
+      for (std::size_t r = 0; r < replication; ++r) {
+        const std::size_t pod = (start_pod + r) % topo.pods;
+        const std::size_t bay = (h2 + r * 0x9e37ull) % topo.bays_per_pod;
+        out.push_back(topo.node_id(pod, bay));
+      }
+      break;
+    }
+    case PlacementPolicy::kRackAware: {
+      const std::size_t start_pod = h % topo.pods;
+      const std::size_t far_bays = (topo.bays_per_pod + 1) / 2;
+      for (std::size_t r = 0; r < replication; ++r) {
+        const std::size_t pod = (start_pod + r) % topo.pods;
+        const std::size_t bay =
+            topo.bays_per_pod - 1 - ((h2 + r * 0x9e37ull) % far_bays);
+        out.push_back(topo.node_id(pod, bay));
+      }
+      break;
+    }
+  }
+  return out;
+}
+
+class PlacementReferenceTest
+    : public ::testing::TestWithParam<PlacementPolicy> {};
+
+TEST_P(PlacementReferenceTest, MatchesTheRemainderReference) {
+  // Few pods, so a replica walk from a hashed start wraps past the last
+  // pod (or bay) for a large share of keys; 1, 5 and 7 bays cover the
+  // single-bay tower and odd far halves.
+  const PlacementPolicy policy = GetParam();
+  std::vector<NodeId> out;
+  for (const std::size_t bays : {1u, 5u, 7u}) {
+    for (const std::size_t pods : {3u, 4u, 2000u}) {
+      const ClusterTopology topo{.pods = pods, .bays_per_pod = bays};
+      const std::size_t limit =
+          policy == PlacementPolicy::kSamePod ? bays : pods;
+      for (const std::size_t replication :
+           {std::size_t{1}, std::min<std::size_t>(3, limit), limit}) {
+        if (replication > 7) continue;  // the 2000-pod walk adds nothing
+        const PlacementMap map(topo, policy, replication);
+        std::size_t wrapped = 0;
+        for (std::uint64_t key = 0; key < 100000; ++key) {
+          map.replicas(key, out);
+          const std::vector<NodeId> want =
+              reference_replicas(topo, policy, replication, key);
+          ASSERT_EQ(out, want) << placement_name(policy) << " pods=" << pods
+                               << " bays=" << bays
+                               << " replication=" << replication
+                               << " key=" << key;
+          if (want.size() > 1 && want.back() < want.front()) ++wrapped;
+        }
+        if (replication > 1 && (policy == PlacementPolicy::kSamePod ||
+                                pods < 100)) {
+          EXPECT_GT(wrapped, 0u) << "no replica walk wrapped";
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, PlacementReferenceTest,
+    ::testing::Values(PlacementPolicy::kSamePod, PlacementPolicy::kCrossPod,
+                      PlacementPolicy::kRackAware),
+    [](const ::testing::TestParamInfo<PlacementPolicy>& info) {
+      switch (info.param) {
+        case PlacementPolicy::kSamePod: return std::string("SamePod");
+        case PlacementPolicy::kCrossPod: return std::string("CrossPod");
+        case PlacementPolicy::kRackAware: return std::string("RackAware");
+      }
+      return std::string("Unknown");
+    });
 
 }  // namespace
 }  // namespace deepnote::cluster

@@ -136,6 +136,27 @@ TEST(ZipfAlias, DeterministicAndRejectsBadConfig) {
   EXPECT_THROW(ZipfAliasSampler(10, 1.0), std::invalid_argument);
 }
 
+TEST(ZipfAlias, DrawThenResolveIsNext) {
+  // The engine draws a whole epoch of keys before resolving any: the
+  // split must consume the stream exactly like next() and give the same
+  // key, with the bucket still the plain `u64 % n` of the first draw.
+  for (const std::uint64_t n : {1ull, 1000ull, 999983ull, 1000000ull}) {
+    const ZipfAliasSampler zipf(n, 0.99);
+    sim::Rng whole(n);
+    sim::Rng split(n);
+    sim::Rng ref(n);
+    for (int i = 0; i < 100000; ++i) {
+      const ZipfAliasSampler::Draw d = zipf.draw(split);
+      ASSERT_EQ(d.bucket, ref.next_u64() % n) << "n=" << n << " i=" << i;
+      ASSERT_EQ(d.coin, ref.next_double()) << "n=" << n << " i=" << i;
+      ASSERT_EQ(zipf.resolve(d), zipf.next(whole)) << "n=" << n << " i=" << i;
+    }
+    const std::uint64_t after = ref.next_u64();
+    EXPECT_EQ(whole.next_u64(), after);
+    EXPECT_EQ(split.next_u64(), after);
+  }
+}
+
 TEST(Traffic, OpenLoopArrivalCountTracksTheRate) {
   MiniServing serving;
   TrafficConfig config;
